@@ -1,4 +1,4 @@
-"""Attention weights over history items and their embedding features.
+"""Attention layers over history items and their embedding features.
 
 Two weighting levels appear here. Item-level weights (NAIS, DeepICF and
 Design 1) come from a smoothed softmax over per-item logits: weights are
@@ -6,6 +6,11 @@ exp(v_j) divided by the sum of exps raised to beta. Feature-level weights
 assign each history item a full vector of per-feature weights; Design 1
 scales a per-item feature softmax by the item-level weight, Design 2 runs
 a smoothed softmax over the history axis independently for every feature.
+
+predictors.forward_block composes the layers below into the forward
+pass. They take one target (arrays shaped history x features) or a block
+of candidate targets (a leading candidate axis); the *_weights,
+item_logit and feature_logits functions are views of it for one target.
 
 The smoothed softmax is not shift invariant when beta != 1, so its logits
 are clamped to [-30, 30] instead of max-subtracted; exp stays finite in
@@ -15,14 +20,20 @@ shift invariant and uses max subtraction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .config import AttentionMode
+from .config import AttentionMode, Design, ModelConfig, ModelKind
 from .params import ParameterSet
 
 LOGIT_CLAMP = 30.0
+
+
+class NonFiniteError(ValueError):
+    """A forward pass met a NaN or infinite logit or score."""
 
 
 @dataclass
@@ -42,26 +53,25 @@ class SmoothedSoftmax:
     weights: np.ndarray
     exp: np.ndarray
     denom: float | np.ndarray
-    grad_mask: np.ndarray
+    logits: np.ndarray
 
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+    @property
+    def grad_mask(self) -> np.ndarray:
+        """True where the logit clamp is inactive, so gradients pass."""
+        return (self.logits > -LOGIT_CLAMP) & (self.logits < LOGIT_CLAMP)
 
 
 def feature_logits(p: np.ndarray, q: np.ndarray, W: np.ndarray, b: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Unnormalized per-feature attention logits for one (target, history) pair."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    hidden = relu(W @ (p * q) + b)
-    return H.T @ hidden
+    params = ParameterSet(n_users=0, W=W, b=b, H=H)
+    return _block(ModelKind.FLA_NAIS, Design.DESIGN2, AttentionMode.PROD, p, [q], params, 1.0).a_hat[0]
 
 
 def item_logit(p: np.ndarray, q: np.ndarray, W: np.ndarray, b: np.ndarray, h: np.ndarray) -> float:
     """Scalar attention logit for one (target, history) pair."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return float(h @ relu(W @ (p * q) + b))
+    params = ParameterSet(n_users=0, W=W, b=b, h=h)
+    block = _block(ModelKind.NAIS, Design.DESIGN2, AttentionMode.PROD, p, [q], params, 1.0)
+    return float(block.item_logits[0])
 
 
 def normalize_features(logits: np.ndarray) -> np.ndarray:
@@ -71,8 +81,7 @@ def normalize_features(logits: np.ndarray) -> np.ndarray:
         raise ValueError("cannot normalize an empty logit vector")
     if not np.all(np.isfinite(logits)):
         raise ValueError("feature logits must be finite")
-    shifted = np.exp(logits - np.max(logits))
-    return shifted / np.sum(shifted)
+    return _row_softmax(logits)
 
 
 def smoothed_softmax(logits: np.ndarray, beta: float) -> np.ndarray:
@@ -81,52 +90,59 @@ def smoothed_softmax(logits: np.ndarray, beta: float) -> np.ndarray:
 
 
 def _smoothed_parts(logits: np.ndarray, beta: float) -> SmoothedSoftmax:
-    if logits.size == 0:
+    """Smoothed softmax over the history (last) axis of item logits."""
+    if logits.shape[-1] == 0:
         raise ValueError("smoothed softmax needs at least one logit")
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
     if not np.all(np.isfinite(logits)):
-        raise ValueError("logits must be finite")
-    mask = (logits > -LOGIT_CLAMP) & (logits < LOGIT_CLAMP)
+        raise NonFiniteError("logits must be finite")
     e = np.exp(np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP))
-    denom = float(np.sum(e))
-    return SmoothedSoftmax(weights=e / denom**beta, exp=e, denom=denom, grad_mask=mask)
+    denom = e.sum(axis=-1)
+    # libm's pow, one target at a time: numpy's vectorized power differs
+    # from it in the last bit for some inputs, and a candidate's weights
+    # must not depend on how many candidates share its block.
+    if np.ndim(denom) == 0:
+        scale = float(denom) ** beta
+    else:
+        scale = np.fromiter(map(math.pow, denom.tolist(), repeat(beta)), float, denom.size)[:, None]
+    return SmoothedSoftmax(weights=e / scale, exp=e, denom=denom, logits=logits)
 
 
 def _row_softmax(a_hat: np.ndarray) -> np.ndarray:
-    """Row-wise shifted softmax over the feature axis of an m x d matrix."""
-    shifted = np.exp(a_hat - a_hat.max(axis=1, keepdims=True))
-    return shifted / shifted.sum(axis=1, keepdims=True)
+    """Shifted softmax over the last (feature) axis."""
+    shifted = np.exp(a_hat - a_hat.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
 def _col_smoothed_parts(a_hat: np.ndarray, beta: float) -> SmoothedSoftmax:
-    """Smoothed softmax over the history axis, independently per feature."""
-    if a_hat.shape[0] == 0:
+    """Smoothed softmax over the history axis of feature logits, per feature."""
+    if a_hat.shape[-2] == 0:
         raise ValueError("smoothed softmax needs at least one history item")
-    mask = (a_hat > -LOGIT_CLAMP) & (a_hat < LOGIT_CLAMP)
+    if not np.all(np.isfinite(a_hat)):
+        raise NonFiniteError("feature logits must be finite")
     e = np.exp(np.clip(a_hat, -LOGIT_CLAMP, LOGIT_CLAMP))
-    denom = e.sum(axis=0)
-    return SmoothedSoftmax(weights=e / denom**beta, exp=e, denom=denom, grad_mask=mask)
+    denom = e.sum(axis=-2)
+    return SmoothedSoftmax(weights=e / denom[..., None, :] ** beta, exp=e, denom=denom, logits=a_hat)
 
 
 def hidden_prod(p: np.ndarray, Q_hist: np.ndarray, W: np.ndarray, b: np.ndarray):
-    """Shared hidden layer over a whole history, elementwise-product encoding.
+    """Shared hidden layer over the history, elementwise-product encoding.
 
-    Returns (X, Z, R, M): interaction vectors, pre-activations, ReLU
-    outputs and the ReLU mask, each with one row per history item.
+    Returns (X, Z, R): interaction vectors, pre-activations and ReLU
+    outputs, each with one row per history item (per candidate when p
+    holds a row per candidate).
     """
-    X = p[None, :] * Q_hist
-    Z = X @ W.T + b
-    M = Z > 0.0
-    return X, Z, np.where(M, Z, 0.0), M
+    X = p[..., None, :] * Q_hist
+    Z = (X.reshape(-1, X.shape[-1]) @ W.T).reshape(*X.shape[:-1], -1) + b
+    return X, Z, np.maximum(Z, 0.0)
 
 
 def hidden_concat(p: np.ndarray, Q_hist: np.ndarray, W: np.ndarray, b: np.ndarray):
     """Shared hidden layer, concatenation encoding (NAIS CONCAT mode)."""
-    d = p.shape[0]
-    Z = p @ W[:, :d].T + Q_hist @ W[:, d:].T + b
-    M = Z > 0.0
-    return Z, np.where(M, Z, 0.0), M
+    d = p.shape[-1]
+    Z = (p @ W[:, :d].T)[..., None, :] + Q_hist @ W[:, d:].T + b
+    return Z, np.maximum(Z, 0.0)
 
 
 def nais_weights(
@@ -137,14 +153,7 @@ def nais_weights(
     mode: AttentionMode = AttentionMode.PROD,
 ) -> AttentionOutput:
     """Item-level smoothed-softmax weights for a NAIS-style model."""
-    _require_history(Q_hist)
-    if mode is AttentionMode.CONCAT:
-        _, R, _ = hidden_concat(p, Q_hist, params.W, params.b)
-    else:
-        _, _, R, _ = hidden_prod(p, Q_hist, params.W, params.b)
-    v = R @ params.h
-    parts = _smoothed_parts(v, beta)
-    return AttentionOutput(item_weights=parts.weights, item_logits=v)
+    return _block(ModelKind.NAIS, Design.DESIGN2, mode, p, Q_hist, params, beta).attention()
 
 
 def design1_weights(p: np.ndarray, Q_hist: np.ndarray, params: ParameterSet, beta: float) -> AttentionOutput:
@@ -153,29 +162,22 @@ def design1_weights(p: np.ndarray, Q_hist: np.ndarray, params: ParameterSet, bet
     Row j of feature_weights is the softmax of that item's feature logits
     multiplied by the item weight b_j, so the row sums to b_j exactly.
     """
-    _require_history(Q_hist)
-    _, _, R, _ = hidden_prod(p, Q_hist, params.W, params.b)
-    v = R @ params.h
-    item = _smoothed_parts(v, beta)
-    a_hat = R @ params.H
-    s = _row_softmax(a_hat)
-    return AttentionOutput(
-        item_weights=item.weights,
-        feature_weights=item.weights[:, None] * s,
-        item_logits=v,
-        feature_logits=a_hat,
-    )
+    block = _block(ModelKind.FLA_NAIS, Design.DESIGN1, AttentionMode.PROD, p, Q_hist, params, beta)
+    return block.attention()
 
 
 def design2_weights(p: np.ndarray, Q_hist: np.ndarray, params: ParameterSet, beta: float) -> AttentionOutput:
     """Feature weights from per-feature smoothed softmaxes over the history."""
-    _require_history(Q_hist)
-    _, _, R, _ = hidden_prod(p, Q_hist, params.W, params.b)
-    a_hat = R @ params.H
-    cols = _col_smoothed_parts(a_hat, beta)
-    return AttentionOutput(feature_weights=cols.weights, feature_logits=a_hat)
+    block = _block(ModelKind.FLA_NAIS, Design.DESIGN2, AttentionMode.PROD, p, Q_hist, params, beta)
+    return block.attention()
 
 
-def _require_history(Q_hist: np.ndarray) -> None:
+def _block(kind, design, mode, p, Q_hist, params: ParameterSet, beta: float):
+    """forward_block of one target p against the history rows Q_hist."""
+    from .predictors import forward_block  # predictors builds on this module
+
+    Q_hist = np.asarray(Q_hist, dtype=float)
     if Q_hist.ndim != 2 or Q_hist.shape[0] == 0:
         raise ValueError("attention weights need a nonempty history matrix")
+    config = ModelConfig(model_kind=kind, design=design, attention_mode=mode, d=Q_hist.shape[1], beta=beta)
+    return forward_block(kind, config, params, np.asarray(p, dtype=float), Q_hist)

@@ -40,7 +40,7 @@ from .evaluation import baseline_scores, evaluate, evaluate_model
 from .gradients import gradcheck
 from .params import CheckpointError, load_checkpoint, save_checkpoint
 from .predictors import PredictionContext, attention_for
-from .training import train
+from .training import TrainingDivergedError, train, train_fism
 
 # key -> (type, default, help); None defaults mean "required by some command"
 RUN_KEYS: dict[str, tuple[type, object, str]] = {
@@ -269,40 +269,13 @@ def cmd_train(config: RunConfig, suffix: str = "") -> dict:
                 raise CliError(
                     f"pretrain checkpoint has d={fism_config.d}, run needs d={model_config.d}"
                 )
-            pretrained = (fism_params.P, fism_params.Q)
         else:
-            fism_config = ModelConfig(
-                model_kind=ModelKind.FISM,
-                d=model_config.d,
-                alpha=model_config.alpha,
-                beta=model_config.beta,
-            )
-            fism_epochs = config.values["pretrain_epochs"] or train_config.epochs
-            fism_train = TrainConfig(
-                learning_rate=train_config.learning_rate,
-                l2=train_config.l2,
-                neg_ratio=train_config.neg_ratio,
-                epochs=fism_epochs,
-                seed=train_config.seed,
-                early_stop_patience=train_config.early_stop_patience,
-                adagrad_epsilon=train_config.adagrad_epsilon,
-                eval_n=train_config.eval_n,
-                eval_workers=train_config.eval_workers,
-            )
-            fism_params, fism_records = train(
-                ModelKind.FISM, split, fism_config, fism_train
+            fism_config, fism_params, fism_records = train_fism(
+                split, model_config, train_config, config.values["pretrain_epochs"]
             )
             save_checkpoint(fism_params, fism_config, out / "fism_pretrain.ckpt")
             _write_metrics(out / "pretrain_metrics", fism_records)
-            pretrained = (fism_params.P, fism_params.Q)
-
-    records = []
-    lines = []
-
-    def log_fn(record):
-        line = record.to_line()
-        lines.append(line)
-        print(line)
+        pretrained = (fism_params.P, fism_params.Q)
 
     params, records = train(
         model_config.model_kind,
@@ -310,7 +283,7 @@ def cmd_train(config: RunConfig, suffix: str = "") -> dict:
         model_config,
         train_config,
         pretrained=pretrained,
-        log_fn=log_fn,
+        log_fn=lambda record: print(record.to_line()),
     )
     save_checkpoint(params, model_config, out / "model.ckpt")
     _write_metrics(out / "metrics", records)
@@ -464,6 +437,7 @@ ERROR_CATEGORIES = (
     (EmptyDatasetError, "data", 3),
     (CheckpointError, "checkpoint", 4),
     (FileNotFoundError, "io", 3),
+    (TrainingDivergedError, "diverged", 5),
 )
 
 

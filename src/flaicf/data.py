@@ -15,6 +15,8 @@ are not skipped; strip them before parsing.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -248,16 +250,32 @@ def save_split(split: SplitDataset, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, view in (("train", split.train), ("valid", split.valid), ("test", split.test)):
-        with open(out / f"{name}.txt", "w", encoding="utf-8") as fh:
+        with atomic_open(out / f"{name}.txt") as fh:
             for u, i in view.pairs():
                 fh.write(f"{u}\t{i}\n")
-    with open(out / "user_vocab.txt", "w", encoding="utf-8") as fh:
+    with atomic_open(out / "user_vocab.txt") as fh:
         fh.writelines(f"{raw}\n" for raw in split.train.user_ids)
-    with open(out / "item_vocab.txt", "w", encoding="utf-8") as fh:
+    with atomic_open(out / "item_vocab.txt") as fh:
         fh.writelines(f"{raw}\n" for raw in split.train.item_ids)
-    with open(out / "split_meta.txt", "w", encoding="utf-8") as fh:
+    with atomic_open(out / "split_meta.txt") as fh:
         r = ",".join(repr(x) for x in split.ratios)
         fh.write(f"ratios={r}\nseed={split.seed}\n")
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Write path through a temporary file that replaces it on success.
+
+    An interrupted write leaves the previous file intact and no partial file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_split(data_dir) -> SplitDataset:
@@ -268,7 +286,8 @@ def load_split(data_dir) -> SplitDataset:
     views = {}
     for name in ("train", "valid", "test"):
         by_user: list[list[int]] = [[] for _ in user_ids]
-        with open(root / f"{name}.txt", "r", encoding="utf-8") as fh:
+        path = root / f"{name}.txt"
+        with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -277,7 +296,12 @@ def load_split(data_dir) -> SplitDataset:
                     u_s, i_s = line.split("\t")
                     u, i = int(u_s), int(i_s)
                 except ValueError as exc:
-                    raise DataFormatError(f"{name}.txt:{lineno}: bad pair {line!r}") from exc
+                    raise DataFormatError(f"{path}:{lineno}: bad pair {line!r}") from exc
+                if not (0 <= u < len(user_ids) and 0 <= i < len(item_ids)):
+                    raise DataFormatError(
+                        f"{path}:{lineno}: pair {line!r} outside the vocab of "
+                        f"{len(user_ids)} users and {len(item_ids)} items"
+                    )
                 by_user[u].append(i)
         views[name] = InteractionDataset(
             user_ids=user_ids,

@@ -14,13 +14,14 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .attention import LOGIT_CLAMP
-from .config import AttentionMode, Design, DEEP_KINDS, ModelConfig, ModelKind
+from .config import DEEP_KINDS, ModelConfig, ModelKind
 from .data import SplitDataset
 from .params import ParameterSet
+from .predictors import forward_block
 
 BASELINES = ("RANDOM", "POP", "ITEMKNN")
 
@@ -122,14 +123,15 @@ def _excluded_for(split: SplitDataset, on: str, user: int) -> np.ndarray:
     return train_items
 
 
-def rank_users(scorer, split: SplitDataset, on: str = "test", n: int = 10):
-    """Yield a RankingResult for every user with items in the split."""
+def rank_users(scorer, split: SplitDataset, on: str = "test", n: int = 10, users=None):
+    """Yield a RankingResult for each user (default: every user with items in the split)."""
     view = getattr(split, on)
-    for user in _eval_users(split, on):
+    for user in _eval_users(split, on) if users is None else users:
+        user = int(user)
         held_out = view.items_by_user[user]
-        ranked = rank_items(scorer, int(user), _excluded_for(split, on, int(user)), n)
+        ranked = rank_items(scorer, user, _excluded_for(split, on, user), n)
         yield RankingResult(
-            user=int(user),
+            user=user,
             ranked=ranked,
             hit=bool(hr_at_n(ranked, held_out)),
             ndcg=ndcg_at_n(ranked, held_out, n),
@@ -137,13 +139,15 @@ def rank_users(scorer, split: SplitDataset, on: str = "test", n: int = 10):
 
 
 def evaluate(scorer, split: SplitDataset, on: str = "test", n: int = 10) -> MetricsRecord:
-    """Average HR@n and NDCG@n of a scorer over one split.
+    """Average HR@n and NDCG@n of a scorer over one split."""
+    return _mean_metrics(rank_users(scorer, split, on, n), on, n)
 
-    Per-user values are reduced with math.fsum, so the aggregate is
-    independent of how the users were grouped (see evaluate_model).
-    """
+
+def _mean_metrics(results, on: str, n: int) -> MetricsRecord:
+    """Mean HR and NDCG of per-user results, summed with math.fsum so the
+    aggregate is independent of how the users were grouped (see evaluate_model)."""
     hits, gains = [], []
-    for result in rank_users(scorer, split, on, n):
+    for result in results:
         hits.append(float(result.hit))
         gains.append(result.ndcg)
     if not hits:
@@ -159,11 +163,13 @@ def evaluate(scorer, split: SplitDataset, on: str = "test", n: int = 10) -> Metr
 
 
 def model_scorer(params: ParameterSet, config: ModelConfig, split: SplitDataset, chunk: int = 1024):
-    """Score every item for a user in one vectorized pass.
+    """Score every item for a user, chunk by chunk of items.
 
     The history is the user's training positives; eval candidates are never
-    in it, so no per-candidate exclusion is needed. Matches the instance
-    forward pass to floating point reordering.
+    in it, so no per-candidate exclusion is needed. An attentive model runs
+    predictors.forward_block over each chunk of up to `chunk` items
+    (_score_chunk), which matches the instance forward pass up to rounding;
+    FISM sums the history first, costing O(n d) instead of O(n m d).
     """
     kind = config.model_kind
     P, Q = params.P, params.Q
@@ -198,52 +204,9 @@ def _score_chunk(
     lo: int,
     hi: int,
 ) -> np.ndarray:
-    beta = config.beta
-    c, d = Pc.shape
-    m = Qh.shape[0]
-    if kind is ModelKind.NAIS and config.attention_mode is AttentionMode.CONCAT:
-        Z = Pc @ params.W[:, :d].T
-        Z = Z[:, None, :] + (Qh @ params.W[:, d:].T)[None, :, :] + params.b
-        X = None
-    else:
-        X = Pc[:, None, :] * Qh[None, :, :]
-        Z = X.reshape(c * m, d) @ params.W.T
-        Z = Z.reshape(c, m, -1) + params.b
-    R = np.maximum(Z, 0.0)
-
-    needs_item = kind in (ModelKind.NAIS, ModelKind.DEEPICF) or (
-        config.design is Design.DESIGN1 and kind in (ModelKind.FLA_NAIS, ModelKind.FLA_DICF)
-    )
-    if needs_item:
-        v = R @ params.h
-        e = np.exp(np.clip(v, -LOGIT_CLAMP, LOGIT_CLAMP))
-        w = e / e.sum(axis=1, keepdims=True) ** beta
-
-    if kind in (ModelKind.FLA_NAIS, ModelKind.FLA_DICF):
-        a_hat = R @ params.H
-        if config.design is Design.DESIGN1:
-            s = np.exp(a_hat - a_hat.max(axis=2, keepdims=True))
-            s /= s.sum(axis=2, keepdims=True)
-            A = w[:, :, None] * s
-        else:
-            e2 = np.exp(np.clip(a_hat, -LOGIT_CLAMP, LOGIT_CLAMP))
-            A = e2 / e2.sum(axis=1, keepdims=True) ** beta
-
-    if kind is ModelKind.NAIS:
-        inner = Pc @ Qh.T
-        return np.sum(w * inner, axis=1)
-    if kind is ModelKind.FLA_NAIS:
-        return np.sum(A * X, axis=(1, 2))
-    if kind is ModelKind.DEEPICF:
-        pooled = np.einsum("cm,cmd->cd", w, X)
-    elif kind is ModelKind.FLA_DICF:
-        pooled = np.sum(A * X, axis=1)
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
-    u = pooled
-    for Wl, bl in zip(params.deep_W, params.deep_b):
-        u = np.maximum(u @ Wl.T + bl, 0.0)
-    return u @ params.V + params.b_user[user] + params.b_item[lo:hi]
+    """Scores of items lo..hi-1 (rows Pc of P) for one user with history rows Qh."""
+    bias = params.b_user[user] + params.b_item[lo:hi] if kind in DEEP_KINDS else 0.0
+    return forward_block(kind, config, params, Pc, Qh, bias).score
 
 
 def baseline_scores(kind: str, split: SplitDataset, seed: int = 0, knn_k: int | None = None):
@@ -316,25 +279,11 @@ _WORKER_STATE: dict = {}
 
 
 def _init_worker(params, config, split, on, n):
-    _WORKER_STATE["scorer"] = model_scorer(params, config, split)
-    _WORKER_STATE["split"] = split
-    _WORKER_STATE["on"] = on
-    _WORKER_STATE["n"] = n
+    _WORKER_STATE["args"] = (model_scorer(params, config, split), split, on, n)
 
 
-def _eval_chunk(users: np.ndarray) -> tuple[list[float], list[float]]:
-    scorer = _WORKER_STATE["scorer"]
-    split = _WORKER_STATE["split"]
-    on = _WORKER_STATE["on"]
-    n = _WORKER_STATE["n"]
-    view = getattr(split, on)
-    hits, gains = [], []
-    for user in users:
-        held_out = view.items_by_user[user]
-        ranked = rank_items(scorer, int(user), _excluded_for(split, on, int(user)), n)
-        hits.append(hr_at_n(ranked, held_out))
-        gains.append(ndcg_at_n(ranked, held_out, n))
-    return hits, gains
+def _rank_chunk(users: np.ndarray) -> list[RankingResult]:
+    return list(rank_users(*_WORKER_STATE["args"], users=users))
 
 
 def evaluate_model(
@@ -348,31 +297,16 @@ def evaluate_model(
     """Evaluate a model on a split, optionally fanning out across users.
 
     Per-user computations are independent and identical regardless of the
-    worker count; chunks come back in user order and are reduced with
-    math.fsum, so the result is bitwise equal to the serial path.
+    worker count; chunks come back in user order and are reduced like the
+    serial path's, so the result is bitwise equal to it.
     """
     users = _eval_users(split, on)
     if workers <= 1 or users.size < 4 or os.name == "nt":
         return evaluate(model_scorer(params, config, split), split, on, n)
-    chunks = np.array_split(users, workers * 4)
-    chunks = [c for c in chunks if c.size]
-    hits: list[float] = []
-    gains: list[float] = []
+    chunks = [c for c in np.array_split(users, workers * 4) if c.size]
     with ProcessPoolExecutor(
         max_workers=workers,
         initializer=_init_worker,
         initargs=(params, config, split, on, n),
     ) as pool:
-        for h, g in pool.map(_eval_chunk, chunks):
-            hits.extend(h)
-            gains.extend(g)
-    if not hits:
-        return MetricsRecord(split=on, hr=0.0, ndcg=0.0, n=n, users_evaluated=0)
-    count = len(hits)
-    return MetricsRecord(
-        split=on,
-        hr=math.fsum(hits) / count,
-        ndcg=math.fsum(gains) / count,
-        n=n,
-        users_evaluated=count,
-    )
+        return _mean_metrics(chain.from_iterable(pool.map(_rank_chunk, chunks)), on, n)

@@ -78,15 +78,10 @@ class GradientSet:
 
 
 def _smoothed_vjp(parts: SmoothedSoftmax, dw: np.ndarray, beta: float) -> np.ndarray:
+    """Backward of a smoothed softmax over the history (first) axis."""
     w = parts.weights
-    pull = beta * (parts.exp / parts.denom) * np.sum(w * dw)
+    pull = beta * (parts.exp / parts.denom) * np.sum(w * dw, axis=0)
     return (w * dw - pull) * parts.grad_mask
-
-
-def _col_smoothed_vjp(parts: SmoothedSoftmax, dA: np.ndarray, beta: float) -> np.ndarray:
-    w = parts.weights
-    pull = beta * (parts.exp / parts.denom) * np.sum(w * dA, axis=0)
-    return (w * dA - pull) * parts.grad_mask
 
 
 def _row_softmax_vjp(s: np.ndarray, ds: np.ndarray) -> np.ndarray:
@@ -104,7 +99,7 @@ def _deep_vjp(
     dense["V"] = g * cache.deep_u[-1]
     du = g * params.V
     for l in range(len(params.deep_W) - 1, -1, -1):
-        dz = du * cache.deep_m[l]
+        dz = du * (cache.deep_z[l] > 0.0)
         dense[f"deep_W.{l}"] = np.outer(dz, cache.deep_u[l])
         dense[f"deep_b.{l}"] = dz
         du = params.deep_W[l].T @ dz
@@ -186,7 +181,7 @@ def backward(
             dense["h"] = cache.R.T @ dv
             dR += da_hat @ params.H.T + dv[:, None] * params.h[None, :]
         else:
-            da_hat = _col_smoothed_vjp(cache.cols, dA, beta)
+            da_hat = _smoothed_vjp(cache.cols, dA, beta)
             dense["H"] = cache.R.T @ da_hat
             dR += da_hat @ params.H.T
     else:

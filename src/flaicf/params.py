@@ -25,6 +25,7 @@ from .config import (
     ModelConfig,
     ModelKind,
 )
+from .data import atomic_open
 
 INIT_STD = 0.01
 CHECKPOINT_MAGIC = "FLAICF"
@@ -216,7 +217,7 @@ def _format_header(config: ModelConfig, item_count: int, user_count: int) -> str
 def save_checkpoint(params: ParameterSet, config: ModelConfig, path) -> None:
     """Write params to path in the version-1 checkpoint format."""
     expected = array_shapes(config, params.n_items, params.n_users)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_format_header(config, params.n_items, params.n_users).encode("ascii"))
         for name, shape in expected.items():
             arr = params.get(name)

@@ -1,9 +1,14 @@
 """Forward passes for every model kind.
 
 All five models score a (user, target item) pair against the user's
-training history. The forward pass is written once, in forward_cache,
-which retains every intermediate the exact backward pass needs; the
-predict_* functions are thin wrappers that return only the score.
+training history. The attentive kinds' forward pass is written once, in
+forward_block, over a block of candidate targets x history items: the
+shared hidden layer, the item and/or feature softmax, then the
+inner-product or deep-tower head. Training runs it with one candidate
+(forward_cache, which keeps every intermediate the exact backward pass
+needs), ranking with a chunk of items (evaluation.model_scorer), and the
+attention views read its weights. FISM has no attention and keeps its
+closed form.
 
 Empty histories fall back to a constant: 0 for FISM, NAIS and FLA_NAIS,
 and the user-plus-item bias for the DeepICF family.
@@ -50,16 +55,19 @@ class PredictionContext:
 
 @dataclass
 class ForwardCache:
-    """Every intermediate of one forward pass, keyed by the model kind."""
+    """Every intermediate of one forward pass, keyed by the model kind.
+
+    For a block of candidate targets every array has a leading candidate
+    axis and score holds one value per candidate.
+    """
 
     config: ModelConfig
-    ctx: PredictionContext
-    score: float = 0.0
+    ctx: PredictionContext | None = None
+    score: float | np.ndarray = 0.0
     empty: bool = False
     X: np.ndarray | None = None
     Z: np.ndarray | None = None
     R: np.ndarray | None = None
-    M: np.ndarray | None = None
     inner: np.ndarray | None = None
     item_logits: np.ndarray | None = None
     item: SmoothedSoftmax | None = None
@@ -70,7 +78,20 @@ class ForwardCache:
     e: np.ndarray | None = None
     deep_z: list[np.ndarray] = field(default_factory=list)
     deep_u: list[np.ndarray] = field(default_factory=list)
-    deep_m: list[np.ndarray] = field(default_factory=list)
+
+    @property
+    def M(self) -> np.ndarray | None:
+        """The shared hidden layer's ReLU mask."""
+        return None if self.Z is None else self.Z > 0.0
+
+    def attention(self) -> AttentionOutput:
+        """The attention weights and logits of a one-target cache."""
+        return AttentionOutput(
+            item_weights=None if self.item is None else self.item.weights,
+            feature_weights=self.A,
+            item_logits=self.item_logits,
+            feature_logits=self.a_hat,
+        )
 
 
 def fla_score(p: np.ndarray, Q_hist: np.ndarray, feature_weights: np.ndarray) -> float:
@@ -88,18 +109,67 @@ def fla_pool(p: np.ndarray, Q_hist: np.ndarray, feature_weights: np.ndarray) -> 
     return (feature_weights * (p[None, :] * Q_hist)).sum(axis=0)
 
 
-def deep_tower(cache: ForwardCache, e: np.ndarray, params: ParameterSet) -> float:
+def deep_tower(cache: ForwardCache, e: np.ndarray, params: ParameterSet) -> float | np.ndarray:
     """ReLU tower over the pooled interaction, then the final regression."""
     u = e
     cache.deep_u = [e]
     for Wl, bl in zip(params.deep_W, params.deep_b):
-        z = Wl @ u + bl
-        m = z > 0.0
-        u = np.where(m, z, 0.0)
+        z = u @ Wl.T + bl
+        u = np.maximum(z, 0.0)
         cache.deep_z.append(z)
-        cache.deep_m.append(m)
         cache.deep_u.append(u)
-    return float(params.V @ u)
+    return u @ params.V
+
+
+def forward_block(
+    kind: ModelKind,
+    config: ModelConfig,
+    params: ParameterSet,
+    p: np.ndarray,
+    Q_hist: np.ndarray,
+    bias: float | np.ndarray = 0.0,
+) -> ForwardCache:
+    """Forward pass of an attentive kind: one target, or a block of them.
+
+    p is the target's row of P (d), or the rows of c candidate targets
+    (c x d); Q_hist holds the history's rows of Q (m x d, m >= 1). bias is
+    the deep family's user-plus-item bias, one per target. Training runs
+    one target (forward_cache) and ranking a chunk of items; a candidate's
+    score in a chunk equals its one-target score up to rounding.
+    """
+    cache = ForwardCache(config=config)
+    if kind is ModelKind.NAIS and config.attention_mode is AttentionMode.CONCAT:
+        cache.Z, cache.R = hidden_concat(p, Q_hist, params.W, params.b)
+    else:
+        cache.X, cache.Z, cache.R = hidden_prod(p, Q_hist, params.W, params.b)
+
+    if kind not in FLA_KINDS or config.design is Design.DESIGN1:
+        cache.item_logits = cache.R @ params.h
+        cache.item = _smoothed_parts(cache.item_logits, config.beta)
+
+    if kind in FLA_KINDS:
+        cache.a_hat = cache.R @ params.H
+        if config.design is Design.DESIGN1:
+            cache.row_s = _row_softmax(cache.a_hat)
+            cache.A = cache.item.weights[..., None] * cache.row_s
+        else:
+            cache.cols = _col_smoothed_parts(cache.a_hat, config.beta)
+            cache.A = cache.cols.weights
+
+    if kind is ModelKind.NAIS:
+        cache.inner = p @ Q_hist.T
+        # one dot product per candidate; a summed elementwise product
+        # would add the terms in another order
+        cache.score = (cache.item.weights[..., None, :] @ cache.inner[..., None])[..., 0, 0]
+    elif kind is ModelKind.FLA_NAIS:
+        cache.score = np.sum(cache.A * cache.X, axis=(-2, -1))
+    elif kind in DEEP_KINDS:
+        weights = cache.A if kind is ModelKind.FLA_DICF else cache.item.weights[..., None]
+        cache.e = np.einsum("...md,...md->...d", weights, cache.X)
+        cache.score = deep_tower(cache, cache.e, params) + bias
+    else:
+        raise ValueError(f"{kind!r} has no attention block")
+    return cache
 
 
 def forward_cache(
@@ -109,60 +179,17 @@ def forward_cache(
     config: ModelConfig,
 ) -> ForwardCache:
     """Run one forward pass, retaining intermediates for backward."""
-    cache = ForwardCache(config=config, ctx=ctx)
-    hist = ctx.history
-    if hist.size == 0:
-        cache.empty = True
-        if model_kind in DEEP_KINDS:
-            cache.score = float(params.b_user[ctx.user] + params.b_item[ctx.target])
-        return cache
-
-    p = params.P[ctx.target]
-    Qh = params.Q[hist]
-
+    bias = 0.0
+    if model_kind in DEEP_KINDS:
+        bias = float(params.b_user[ctx.user] + params.b_item[ctx.target])
+    if ctx.history.size == 0:
+        return ForwardCache(config, ctx, score=bias, empty=True)
     if model_kind is ModelKind.FISM:
-        cache.inner = Qh @ p
-        cache.score = float(hist.size ** (-config.alpha) * cache.inner.sum())
-        return cache
-
-    if model_kind is ModelKind.NAIS and config.attention_mode is AttentionMode.CONCAT:
-        cache.Z, cache.R, cache.M = hidden_concat(p, Qh, params.W, params.b)
-    else:
-        cache.X, cache.Z, cache.R, cache.M = hidden_prod(p, Qh, params.W, params.b)
-
-    needs_item = model_kind in (ModelKind.NAIS, ModelKind.DEEPICF) or (
-        model_kind in FLA_KINDS and config.design is Design.DESIGN1
-    )
-    if needs_item:
-        cache.item_logits = cache.R @ params.h
-        cache.item = _smoothed_parts(cache.item_logits, config.beta)
-
-    if model_kind in FLA_KINDS:
-        cache.a_hat = cache.R @ params.H
-        if config.design is Design.DESIGN1:
-            cache.row_s = _row_softmax(cache.a_hat)
-            cache.A = cache.item.weights[:, None] * cache.row_s
-        else:
-            cache.cols = _col_smoothed_parts(cache.a_hat, config.beta)
-            cache.A = cache.cols.weights
-
-    if model_kind is ModelKind.NAIS:
-        cache.inner = Qh @ p
-        cache.score = float(cache.item.weights @ cache.inner)
-    elif model_kind is ModelKind.FLA_NAIS:
-        cache.score = float(np.sum(cache.A * cache.X))
-    elif model_kind is ModelKind.DEEPICF:
-        cache.e = (cache.item.weights[:, None] * cache.X).sum(axis=0)
-        cache.score = deep_tower(cache, cache.e, params) + float(
-            params.b_user[ctx.user] + params.b_item[ctx.target]
-        )
-    elif model_kind is ModelKind.FLA_DICF:
-        cache.e = (cache.A * cache.X).sum(axis=0)
-        cache.score = deep_tower(cache, cache.e, params) + float(
-            params.b_user[ctx.user] + params.b_item[ctx.target]
-        )
-    else:
-        raise ValueError(f"unknown model kind {model_kind!r}")
+        return ForwardCache(config, ctx, score=predict_fism(ctx, params, config.alpha))
+    p, Q_hist = params.P[ctx.target], params.Q[ctx.history]
+    cache = forward_block(model_kind, config, params, p, Q_hist, bias)
+    cache.ctx = ctx
+    cache.score = float(cache.score)
     return cache
 
 
@@ -197,10 +224,7 @@ def predict(
     config: ModelConfig,
 ) -> float:
     """Dispatch to the model kind's forward pass."""
-    kind = ModelKind(model_kind)
-    if kind is ModelKind.FISM:
-        return predict_fism(ctx, params, config.alpha)
-    return forward_cache(kind, ctx, params, config).score
+    return forward_cache(ModelKind(model_kind), ctx, params, config).score
 
 
 def attention_for(
@@ -215,9 +239,4 @@ def attention_for(
     cache = forward_cache(kind, ctx, params, config)
     if cache.empty:
         raise ValueError("attention is undefined for an empty history")
-    return AttentionOutput(
-        item_weights=None if cache.item is None else cache.item.weights,
-        feature_weights=cache.A,
-        item_logits=cache.item_logits,
-        feature_logits=cache.a_hat,
-    )
+    return cache.attention()

@@ -14,10 +14,10 @@ import time
 from pathlib import Path
 
 from .config import ModelConfig, ModelKind, TrainConfig
-from .data import load_split
+from .data import atomic_open, load_split
 from .evaluation import baseline_scores, evaluate, evaluate_model
 from .params import load_checkpoint, save_checkpoint
-from .training import train
+from .training import train, train_fism
 
 LR_GRID = (0.01, 0.001, 0.0001, 0.00001)
 SEEDS = (1, 2, 3)
@@ -43,7 +43,7 @@ class RunCache:
     def put(self, tag: str, settings: dict, result: dict) -> dict:
         path = self.root / f"{tag}_{_run_key(tag, settings)}.json"
         payload = {"tag": tag, "settings": settings, **result}
-        with open(path, "w") as fh:
+        with atomic_open(path) as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return payload
@@ -94,10 +94,7 @@ def train_and_test(
     )
     pretrained = None
     if pretrain and model != "FISM":
-        pretrained = _pretrained_embeddings(
-            split, cache, tag, d=d, alpha=alpha, lr=lr, seed=seed,
-            epochs=epochs, patience=patience, eval_workers=eval_workers,
-        )
+        pretrained = _pretrained_embeddings(split, cache, tag, model_config, train_config)
     started = time.time()
     log_fn = (lambda rec: print(f"[{tag} {model} seed={seed} lr={lr}] {rec.to_line()}")) if verbose else None
     params, records = train(
@@ -115,22 +112,17 @@ def train_and_test(
     return cache.put(tag, settings, result)
 
 
-def _pretrained_embeddings(split, cache, tag, *, d, alpha, lr, seed, epochs, patience, eval_workers):
+def _pretrained_embeddings(split, cache, tag, model_config: ModelConfig, train_config: TrainConfig):
     """FISM embeddings for initialization, checkpointed per configuration."""
-    settings = {"model": "FISM", "d": d, "alpha": alpha, "lr": lr, "seed": seed,
-                "epochs": epochs, "patience": patience}
-    stem = cache.root / f"fism_{_run_key(tag + '_pre', settings)}"
-    ckpt = Path(f"{stem}.ckpt")
-    fism_config = ModelConfig(model_kind=ModelKind.FISM, d=d, alpha=alpha)
+    settings = {"model": "FISM", "d": model_config.d, "alpha": model_config.alpha,
+                "lr": train_config.learning_rate, "seed": train_config.seed,
+                "epochs": train_config.epochs, "patience": train_config.early_stop_patience}
+    ckpt = cache.root / f"fism_{_run_key(tag + '_pre', settings)}.ckpt"
     if ckpt.exists():
         params, _ = load_checkpoint(ckpt)
-        return params.P, params.Q
-    train_config = TrainConfig(
-        learning_rate=lr, epochs=epochs, seed=seed,
-        early_stop_patience=patience, eval_workers=eval_workers,
-    )
-    params, _ = train(ModelKind.FISM, split, fism_config, train_config)
-    save_checkpoint(params, fism_config, ckpt)
+    else:
+        fism_config, params, _ = train_fism(split, model_config, train_config)
+        save_checkpoint(params, fism_config, ckpt)
     return params.P, params.Q
 
 

@@ -9,11 +9,13 @@ epoch; training returns the parameters of the best validation-HR epoch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
+from .attention import NonFiniteError
 from .config import ModelConfig, ModelKind, TrainConfig
 from .evaluation import MetricsRecord, evaluate_model
 from .gradients import GradcheckReport, GradientSet, backward, gradcheck, instance_data_loss
@@ -22,7 +24,6 @@ from .predictors import PredictionContext, forward_cache
 
 __all__ = [
     "TrainingDivergedError",
-    "TrainInstance",
     "OptimizerState",
     "log_loss",
     "adagrad_step",
@@ -31,22 +32,14 @@ __all__ = [
     "history_for",
     "train",
     "pretrain_fism",
+    "train_fism",
     "gradcheck",
     "GradcheckReport",
 ]
 
 
 class TrainingDivergedError(RuntimeError):
-    """A parameter became NaN or infinite during training."""
-
-
-@dataclass(frozen=True)
-class TrainInstance:
-    """One supervised example: label 1 for an observed (user, item) pair."""
-
-    user: int
-    item: int
-    label: float
+    """A logit, score, loss or parameter became NaN or infinite during training."""
 
 
 @dataclass
@@ -181,13 +174,21 @@ def train(
         )
         order = rng.permutation(users.size)
         loss_sum = 0.0
-        for idx in order:
+        for step, idx in enumerate(order):
             u = int(users[idx])
             i = int(items[idx])
             y = float(labels[idx])
             ctx = PredictionContext(u, i, history_for(pos_by_user[u], i, y))
-            cache = forward_cache(kind, ctx, params, model_config)
-            loss_sum += instance_data_loss(cache.score, y)
+            try:
+                cache = forward_cache(kind, ctx, params, model_config)
+                loss = instance_data_loss(cache.score, y)
+                if not (math.isfinite(cache.score) and math.isfinite(loss)):
+                    raise NonFiniteError(f"score {cache.score}, loss {loss}")
+            except NonFiniteError as exc:
+                raise TrainingDivergedError(
+                    f"epoch {epoch} instance {step} (user {u}, item {i}): {exc}"
+                ) from exc
+            loss_sum += loss
             grads = backward(cache, y, params, model_config, train_config.l2)
             adagrad_step(
                 params, grads, state, train_config.learning_rate, train_config.adagrad_epsilon
@@ -223,17 +224,33 @@ def train(
     return best_params, records
 
 
-def pretrain_fism(
+def train_fism(
     split,
     model_config: ModelConfig,
     train_config: TrainConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Train a FISM model of the same width and return its (P, Q)."""
+    epochs: int = 0,
+) -> tuple[ModelConfig, ParameterSet, list[MetricsRecord]]:
+    """Pretrain FISM at model_config's width: its config, parameters and log.
+
+    A nonzero epochs overrides train_config.epochs.
+    """
     fism_config = ModelConfig(
         model_kind=ModelKind.FISM,
         d=model_config.d,
         alpha=model_config.alpha,
         beta=model_config.beta,
     )
-    params, _ = train(ModelKind.FISM, split, fism_config, train_config)
+    if epochs:
+        train_config = replace(train_config, epochs=epochs)
+    params, records = train(ModelKind.FISM, split, fism_config, train_config)
+    return fism_config, params, records
+
+
+def pretrain_fism(
+    split,
+    model_config: ModelConfig,
+    train_config: TrainConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Train a FISM model of the same width and return its (P, Q)."""
+    _, params, _ = train_fism(split, model_config, train_config)
     return params.P.copy(), params.Q.copy()

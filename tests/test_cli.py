@@ -255,3 +255,40 @@ def test_export_attention_rejects_fism(prepared, tmp_path, capsys):
                  "--data_dir", str(prepared), "--user", vocab[0],
                  "--targets", items[0], "--out_dir", str(tmp_path / "att")])
     assert code != 0
+
+
+@pytest.mark.parametrize(
+    "bad_pair",
+    ["-1\t3", "{users}\t3", "0\t-2", "0\t999"],
+    ids=["negative-user", "user-past-vocab", "negative-item", "item-past-vocab"],
+)
+def test_out_of_range_split_ids_are_data_errors(prepared, tmp_path, capsys, bad_pair):
+    from flaicf.data import DataFormatError, load_split
+
+    users = len((prepared / "user_vocab.txt").read_text().splitlines())
+    train_txt = prepared / "train.txt"
+    with open(train_txt, "a", encoding="utf-8") as fh:
+        fh.write(bad_pair.format(users=users) + "\n")
+    where = f"train.txt:{len(train_txt.read_text().splitlines())}:"
+    with pytest.raises(DataFormatError, match=re.escape(where)):
+        load_split(prepared)
+    assert run_train(prepared, tmp_path / "run") == 3
+    err = capsys.readouterr().err
+    assert "error: category=data" in err and where in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--model", "NAIS"], ["--model", "FLA_NAIS", "--design", "DESIGN2"]],
+    ids=["NAIS", "FLA_NAIS-D2"],
+)
+def test_divergence_stops_at_the_first_bad_instance(prepared, tmp_path, capsys, flags):
+    code = main([
+        "train", "--data_dir", str(prepared), "--out_dir", str(tmp_path / "run"),
+        *flags, "--d", "4", "--epochs", "2", "--lr", "1e300", "--seed", "3",
+    ])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert "error: category=diverged" in err
+    assert re.search(r"epoch 1 instance \d+ \(user \d+, item \d+\)", err), err
+    assert not (tmp_path / "run" / "model.ckpt").exists()
