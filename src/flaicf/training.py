@@ -38,6 +38,10 @@ __all__ = [
 ]
 
 
+# the smallest normal float64; adagrad_step flushes smaller magnitudes to 0
+TINY = np.finfo(np.float64).tiny
+
+
 class TrainingDivergedError(RuntimeError):
     """A logit, score, loss or parameter became NaN or infinite during training."""
 
@@ -78,15 +82,25 @@ def adagrad_step(
     learning_rate: float,
     epsilon: float = 1e-8,
 ) -> None:
-    """In-place update: acc += g^2; theta -= lr * g / (sqrt(acc) + eps)."""
+    """In-place update: acc += g^2; theta -= lr * g / (sqrt(acc) + eps).
+
+    Every theta the update writes whose magnitude falls below TINY becomes
+    0: l2 decays the weights of dead ReLU units toward zero, and subnormal
+    values slow every later product they enter.
+    """
     for name, grad in grads.dense.items():
         acc = state.acc[name]
         acc += grad * grad
-        params.get(name)[...] -= learning_rate * grad / (np.sqrt(acc) + epsilon)
+        arr = params.get(name)
+        arr -= learning_rate * grad / (np.sqrt(acc) + epsilon)
+        arr[np.abs(arr) < TINY] = 0.0
     for name, (idx, grad) in grads.rows.items():
         acc = state.acc[name]
         acc[idx] += grad * grad
-        params.get(name)[idx] -= learning_rate * grad / (np.sqrt(acc[idx]) + epsilon)
+        arr = params.get(name)
+        rows = arr[idx] - learning_rate * grad / (np.sqrt(acc[idx]) + epsilon)
+        rows[np.abs(rows) < TINY] = 0.0
+        arr[idx] = rows
 
 
 def sample_negatives(

@@ -264,3 +264,23 @@ def test_pretrained_init_propagates_into_training():
     with_pre, _ = train(ModelKind.FLA_NAIS, split, cfg, tc, pretrained=(P, Q))
     without, _ = train(ModelKind.FLA_NAIS, split, cfg, tc)
     assert not params_equal(with_pre, without)
+
+
+@pytest.mark.parametrize(
+    "kind,l2",
+    [(ModelKind.FLA_NAIS, 0.1), (ModelKind.FLA_DICF, 0.01)],
+    ids=["FLA_NAIS-D2", "FLA_DICF-D2"],
+)
+def test_training_leaves_no_subnormal_parameter(kind, l2):
+    # l2 decays the weights of dead ReLU units, dense arrays and Q rows
+    # alike, below the smallest normal float unless the update flushes them
+    split = split_per_user(random_dataset(12, n_users=10, n_items=14, min_items=5), seed=1)
+    cfg = ModelConfig(model_kind=kind, d=4)
+    tc = quick_train_config(l2=l2, epochs=10, seed=3, early_stop_patience=100)
+    params, _ = train(kind, split, cfg, tc)
+    tiny = np.finfo(np.float64).tiny
+    subnormal = {
+        name: int(np.count_nonzero((arr != 0) & (np.abs(arr) < tiny)))
+        for name, arr in params.arrays()
+    }
+    assert not any(subnormal.values()), subnormal
