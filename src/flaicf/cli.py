@@ -29,6 +29,7 @@ from .config import (
 from .data import (
     DataFormatError,
     EmptyDatasetError,
+    atomic_open,
     dataset_stats,
     k_core_filter,
     load_split,
@@ -242,7 +243,7 @@ def cmd_prepare(config: RunConfig, suffix: str = "") -> dict:
             "test": split.test.interaction_count,
         },
     }
-    with open(out / "stats.json", "w", encoding="utf-8") as fh:
+    with atomic_open(out / "stats.json") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(
@@ -287,7 +288,7 @@ def cmd_train(config: RunConfig, suffix: str = "") -> dict:
     )
     save_checkpoint(params, model_config, out / "model.ckpt")
     _write_metrics(out / "metrics", records)
-    with open(out / "config.used", "w", encoding="utf-8") as fh:
+    with atomic_open(out / "config.used") as fh:
         for key in RUN_KEYS:
             fh.write(f"{key}={config.values[key]}\n")
     best = max(records, key=lambda r: r.hr)
@@ -296,9 +297,9 @@ def cmd_train(config: RunConfig, suffix: str = "") -> dict:
 
 
 def _write_metrics(stem: Path, records) -> None:
-    with open(f"{stem}.log", "w", encoding="utf-8") as fh:
+    with atomic_open(f"{stem}.log") as fh:
         fh.writelines(record.to_line() + "\n" for record in records)
-    with open(f"{stem}.json", "w", encoding="utf-8") as fh:
+    with atomic_open(f"{stem}.json") as fh:
         json.dump([record.to_dict() for record in records], fh, indent=2)
         fh.write("\n")
 
@@ -332,7 +333,7 @@ def cmd_evaluate(config: RunConfig, suffix: str = "") -> dict:
         out = _out_dir(config, suffix)
         out.mkdir(parents=True, exist_ok=True)
         payload = {"source": source, **record.to_dict()}
-        with open(out / f"eval_{source}_{on}.json", "w", encoding="utf-8") as fh:
+        with atomic_open(out / f"eval_{source}_{on}.json") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return {"source": source, "hr": record.hr, "ndcg": record.ndcg}
@@ -389,13 +390,13 @@ def cmd_export_attention(config: RunConfig, suffix: str = "") -> dict:
         stem = f"user{_sanitize(user_raw)}_item{_sanitize(target_raw)}"
         if att.item_weights is not None:
             path = out / f"attention_item_{stem}.csv"
-            with open(path, "w", encoding="utf-8") as fh:
+            with atomic_open(path) as fh:
                 fh.write(",".join(hist_raw) + "\n")
                 fh.write(",".join(repr(float(x)) for x in att.item_weights) + "\n")
             written.append(str(path))
         if att.feature_weights is not None:
             path = out / f"attention_features_{stem}.csv"
-            with open(path, "w", encoding="utf-8") as fh:
+            with atomic_open(path) as fh:
                 fh.write("history_item," + ",".join(f"f{k}" for k in range(model_config.d)) + "\n")
                 for raw, row in zip(hist_raw, att.feature_weights):
                     fh.write(raw + "," + ",".join(repr(float(x)) for x in row) + "\n")

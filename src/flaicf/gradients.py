@@ -36,7 +36,7 @@ from .config import (
     ModelConfig,
     ModelKind,
 )
-from .params import ParameterSet, array_shapes
+from .params import BIAS, PQ, SHARED, ParameterSet, array_shapes, shared_layout
 from .predictors import ForwardCache, PredictionContext, forward_cache, predict
 
 SIGMOID_CLAMP = 1e-12
@@ -66,46 +66,54 @@ class GradientSet:
 
     dense holds full-shape gradients for shared arrays; rows holds
     (indices, row gradients) pairs for embedding tables and bias vectors
-    where only a few rows are touched.
+    where only a few rows are touched. backward also fills segments with
+    the same gradients laid out like the parameter buffer's segments
+    (params.PQ, SHARED, BIAS), as (segment, indices, gradient) triples:
+    one flat vector over SHARED whose views are dense, the target row then
+    the history rows as one block of the P/Q table, and the deep family's
+    two bias entries. rows' gradients are views into those blocks.
     """
 
     dense: dict[str, np.ndarray]
     rows: dict[str, tuple[np.ndarray, np.ndarray]]
+    segments: list[tuple[str, object, np.ndarray]] | None = None
 
     def items(self):
         yield from self.dense.items()
         yield from self.rows.items()
 
+    def updates(self, params: ParameterSet) -> list[tuple[str, object, np.ndarray]]:
+        """(name, index, gradient) triples naming arrays or segments of params.
+
+        The segments when params lives in one buffer, otherwise one triple
+        per array (index ... for a dense gradient).
+        """
+        if self.segments is not None and params.buffer() is not None:
+            return self.segments
+        return [(name, ..., grad) for name, grad in self.dense.items()] + [
+            (name, idx, grad) for name, (idx, grad) in self.rows.items()
+        ]
+
 
 def _smoothed_vjp(parts: SmoothedSoftmax, dw: np.ndarray, beta: float) -> np.ndarray:
     """Backward of a smoothed softmax over the history (first) axis."""
-    w = parts.weights
-    pull = beta * (parts.exp / parts.denom) * np.sum(w * dw, axis=0)
-    return (w * dw - pull) * parts.grad_mask
+    wdw = parts.weights * dw
+    pull = beta * (parts.exp / parts.denom) * wdw.sum(axis=0)
+    return (wdw - pull) * parts.grad_mask
 
 
 def _row_softmax_vjp(s: np.ndarray, ds: np.ndarray) -> np.ndarray:
-    return s * (ds - np.sum(s * ds, axis=1, keepdims=True))
+    return s * (ds - (s * ds).sum(axis=1, keepdims=True))
 
 
-def _deep_vjp(
-    cache: ForwardCache,
-    params: ParameterSet,
-    g: float,
-    dense: dict,
-    rows: dict,
-) -> np.ndarray:
+def _deep_vjp(cache: ForwardCache, params: ParameterSet, g: float, dense: dict) -> np.ndarray:
     """Backward through the ReLU tower and final regression; returns de."""
-    dense["V"] = g * cache.deep_u[-1]
+    np.multiply(g, cache.deep_u[-1], out=dense["V"])
     du = g * params.V
     for l in range(len(params.deep_W) - 1, -1, -1):
-        dz = du * (cache.deep_z[l] > 0.0)
-        dense[f"deep_W.{l}"] = np.outer(dz, cache.deep_u[l])
-        dense[f"deep_b.{l}"] = dz
+        dz = np.multiply(du, cache.deep_z[l] > 0.0, out=dense[f"deep_b.{l}"])
+        np.outer(dz, cache.deep_u[l], out=dense[f"deep_W.{l}"])
         du = params.deep_W[l].T @ dz
-    ctx = cache.ctx
-    rows["b_user"] = (np.array([ctx.user]), np.array([g]))
-    rows["b_item"] = (np.array([ctx.target]), np.array([g]))
     return du
 
 
@@ -116,36 +124,60 @@ def backward(
     config: ModelConfig,
     l2: float = 0.0,
 ) -> GradientSet:
-    """Exact gradient of the per-instance objective at the cached forward."""
+    """Exact gradient of the per-instance objective at the cached forward.
+
+    The shared arrays' gradients are written into one vector laid out like
+    the SHARED segment, the P and Q rows into one block, and the l2 term is
+    added to each with one operation.
+    """
     kind = config.model_kind
     ctx = cache.ctx
     g = score_grad(cache.score, label)
+    decay = 2.0 * l2
+    segments = params.segments()
     dense: dict[str, np.ndarray] = {}
     rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    grads = GradientSet(dense, rows, [])
 
+    if kind in DEEP_KINDS:
+        idx = np.array([ctx.user, params.n_users + ctx.target])
+        dbias = np.full(2, g)
+        if l2 != 0.0:
+            dbias += decay * segments[BIAS][idx]
+        rows["b_user"] = (idx[:1], dbias[:1])
+        rows["b_item"] = (np.array([ctx.target]), dbias[1:])
+        grads.segments.append((BIAS, idx, dbias))
     if cache.empty:
-        if kind in DEEP_KINDS:
-            rows["b_user"] = (np.array([ctx.user]), np.array([g]))
-            rows["b_item"] = (np.array([ctx.target]), np.array([g]))
-        return _apply_l2(GradientSet(dense, rows), params, l2)
+        return grads
 
     hist = ctx.history
-    p = params.P[ctx.target]
-    Qh = params.Q[hist]
+    idx = np.empty(hist.size + 1, dtype=np.int64)
+    idx[0] = ctx.target
+    np.add(hist, params.n_items, out=idx[1:])
+    pq = segments[PQ][idx]
+    p, Qh = pq[0], pq[1:]
+    # the target row, then the history rows, of the P/Q table
+    dpq = np.zeros_like(pq)
+    dp, dQh = dpq[0], dpq[1:]
+    rows["P"] = (idx[:1], dpq[:1])
+    rows["Q"] = (hist, dQh)
+    grads.segments.append((PQ, idx, dpq))
 
     if kind is ModelKind.FISM:
         c = hist.size ** (-config.alpha)
-        dp = g * c * Qh.sum(axis=0)
-        dQh = (g * c) * np.tile(p, (hist.size, 1))
-        rows["P"] = (np.array([ctx.target]), dp[None, :])
-        rows["Q"] = (hist, dQh)
-        return _apply_l2(GradientSet(dense, rows), params, l2)
+        np.multiply(g * c, Qh.sum(axis=0), out=dp)
+        np.multiply(g * c, p, out=dQh)
+        if l2 != 0.0:
+            dpq += decay * pq
+        return grads
+
+    layout, size = shared_layout(config)
+    flat = np.empty(size)
+    for name, start, stop, shape in layout:
+        dense[name] = flat[start:stop].reshape(shape)
+    grads.segments.append((SHARED, ..., flat))
 
     concat = kind is ModelKind.NAIS and config.attention_mode is AttentionMode.CONCAT
-    dR = np.zeros_like(cache.R)
-    dX = None if concat else np.zeros_like(cache.X)
-    dp = np.zeros_like(p)
-    dQh = np.zeros_like(Qh)
     beta = config.beta
 
     # Head of the chain: push g down to the attention weights and the
@@ -155,67 +187,60 @@ def backward(
         dw = g * cache.inner
         dp += g * (w @ Qh)
         dQh += g * w[:, None] * p[None, :]
+        dX = None
     elif kind is ModelKind.FLA_NAIS:
         dA = g * cache.X
-        dX += g * cache.A
+        dX = g * cache.A
     elif kind is ModelKind.DEEPICF:
-        de = _deep_vjp(cache, params, g, dense, rows)
+        de = _deep_vjp(cache, params, g, dense)
         w = cache.item.weights
         dw = cache.X @ de
-        dX += w[:, None] * de[None, :]
+        dX = w[:, None] * de[None, :]
     elif kind is ModelKind.FLA_DICF:
-        de = _deep_vjp(cache, params, g, dense, rows)
+        de = _deep_vjp(cache, params, g, dense)
         dA = cache.X * de[None, :]
-        dX += cache.A * de[None, :]
+        dX = cache.A * de[None, :]
     else:
         raise ValueError(f"unknown model kind {kind!r}")
 
     # Attention-weight production backward.
     if kind in FLA_KINDS:
         if config.design is Design.DESIGN1:
-            db_item = np.sum(cache.row_s * dA, axis=1)
+            db_item = (cache.row_s * dA).sum(axis=1)
             ds = cache.item.weights[:, None] * dA
             da_hat = _row_softmax_vjp(cache.row_s, ds)
             dv = _smoothed_vjp(cache.item, db_item, beta)
-            dense["H"] = cache.R.T @ da_hat
-            dense["h"] = cache.R.T @ dv
-            dR += da_hat @ params.H.T + dv[:, None] * params.h[None, :]
+            np.matmul(cache.R.T, da_hat, out=dense["H"])
+            np.matmul(cache.R.T, dv, out=dense["h"])
+            dR = da_hat @ params.H.T + dv[:, None] * params.h[None, :]
         else:
             da_hat = _smoothed_vjp(cache.cols, dA, beta)
-            dense["H"] = cache.R.T @ da_hat
-            dR += da_hat @ params.H.T
+            np.matmul(cache.R.T, da_hat, out=dense["H"])
+            dR = da_hat @ params.H.T
     else:
         dv = _smoothed_vjp(cache.item, dw, beta)
-        dense["h"] = cache.R.T @ dv
-        dR += dv[:, None] * params.h[None, :]
+        np.matmul(cache.R.T, dv, out=dense["h"])
+        dR = dv[:, None] * params.h[None, :]
 
     # Shared hidden layer backward.
     dZ = dR * cache.M
-    dense["b"] = dZ.sum(axis=0)
+    dZ.sum(axis=0, out=dense["b"])
     if concat:
         d = config.d
         dz_total = dZ.sum(axis=0)
-        dense["W"] = np.concatenate([np.outer(dz_total, p), dZ.T @ Qh], axis=1)
+        dense["W"][:, :d] = np.outer(dz_total, p)
+        dense["W"][:, d:] = dZ.T @ Qh
         dp += dz_total @ params.W[:, :d]
         dQh += dZ @ params.W[:, d:]
     else:
-        dense["W"] = dZ.T @ cache.X
-        dX += dZ @ params.W
-        dp += np.sum(dX * Qh, axis=0)
+        np.matmul(dZ.T, cache.X, out=dense["W"])
+        dX = dZ @ params.W if dX is None else dX + dZ @ params.W
+        dp += (dX * Qh).sum(axis=0)
         dQh += dX * p[None, :]
 
-    rows["P"] = (np.array([ctx.target]), dp[None, :])
-    rows["Q"] = (hist, dQh)
-    return _apply_l2(GradientSet(dense, rows), params, l2)
-
-
-def _apply_l2(grads: GradientSet, params: ParameterSet, l2: float) -> GradientSet:
-    if l2 == 0.0:
-        return grads
-    for name, arr in grads.dense.items():
-        grads.dense[name] = arr + 2.0 * l2 * params.get(name)
-    for name, (idx, rowg) in grads.rows.items():
-        grads.rows[name] = (idx, rowg + 2.0 * l2 * params.get(name)[idx])
+    if l2 != 0.0:
+        flat += decay * segments[SHARED]
+        dpq += decay * pq
     return grads
 
 
@@ -361,12 +386,11 @@ def _random_check_params(config: ModelConfig, item_count: int, user_count: int, 
     # O(1) parameter scale: at the production init scale (0.01) true
     # gradients sit near the finite difference noise floor and no correct
     # implementation could meet the tolerance.
-    params = ParameterSet(n_users=user_count)
-    from .params import _assign
-
-    for name, shape in array_shapes(config, item_count, user_count).items():
+    shapes = array_shapes(config, item_count, user_count)
+    params = ParameterSet.from_buffer(np.empty(sum(math.prod(s) for s in shapes.values())), shapes, user_count)
+    for name, shape in shapes.items():
         scale = 0.3 if name.startswith(("b", "deep_b")) else 0.5
-        _assign(params, name, rng.normal(0.0, scale, size=shape))
+        params.get(name)[...] = rng.normal(0.0, scale, size=shape)
     return params
 
 

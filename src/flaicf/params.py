@@ -1,19 +1,30 @@
 """Model parameters: shapes, deterministic initialization, checkpoint files.
 
+Every array of a model lives in one float64 buffer, in canonical order:
+P, Q, W, b, H, h, deep_W.0, deep_b.0, deep_W.1, deep_b.1, ..., V,
+b_user, b_item, restricted to the arrays the model kind uses. The
+ParameterSet fields are views into it. In that order the buffer falls
+into three segments, which the optimizer updates with one expression
+each: PQ, the (2n x d) row table of P then Q; SHARED, every array from W
+to V as one vector; and BIAS, b_user then b_item (deep kinds only). A
+set built or rebound array by array (tests do) works the same, without
+the buffer.
+
 Checkpoint layout (external format, version 1): a single text header line
 
     FLAICF v1 <model_kind> d=<d> dp=<d_prime> beta=<beta> items=<n> users=<m>
         design=<design> mode=<mode> alpha=<alpha> [layers=<l1,l2,...>]
 
-(all on one line) followed by the raw bytes of every array in canonical
-order, each float64 little-endian row-major. The canonical order is
-P, Q, W, b, H, h, deep_W.0, deep_b.0, deep_W.1, deep_b.1, ..., V,
-b_user, b_item, restricted to the arrays the model kind uses.
+(all on one line) followed by that buffer, float64 little-endian: the
+raw bytes of every array in canonical order, each row-major.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,6 +89,41 @@ def array_shapes(config: ModelConfig, item_count: int, user_count: int) -> dict[
     return shapes
 
 
+# the buffer's update segments; see the module docstring
+PQ = "P+Q"
+SHARED = "shared"
+BIAS = "b_user+b_item"
+
+
+@lru_cache(maxsize=None)
+def shared_layout(config: ModelConfig) -> tuple[tuple[tuple[str, int, int, tuple[int, ...]], ...], int]:
+    """(name, start, stop, shape) of each array in the SHARED segment, and its size."""
+    layout, offset = [], 0
+    for name, shape in array_shapes(config, 1, 1).items():
+        if name not in ("P", "Q", "b_user", "b_item"):
+            size = math.prod(shape)
+            layout.append((name, offset, offset + size, shape))
+            offset += size
+    return tuple(layout), offset
+
+
+def buffer_views(buffer: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Views into buffer: every array of shapes (canonical order), then the segments."""
+    views, offset = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = buffer[offset : offset + size].reshape(shape)
+        offset += size
+    if "P" in shapes:
+        n, d = shapes["P"]
+        views[PQ] = buffer[: 2 * n * d].reshape(2 * n, d)
+        stop = offset - (shapes["b_user"][0] + shapes["b_item"][0] if "b_user" in shapes else 0)
+        views[SHARED] = buffer[2 * n * d : stop]
+        if "b_user" in shapes:
+            views[BIAS] = buffer[stop:offset]
+    return views
+
+
 def _is_bias(name: str) -> bool:
     return name == "b" or name.startswith("deep_b") or name in ("b_user", "b_item")
 
@@ -98,6 +144,51 @@ class ParameterSet:
     V: np.ndarray | None = None
     b_user: np.ndarray | None = None
     b_item: np.ndarray | None = None
+    # the buffer, its views as built, and its segments (from_buffer)
+    _buffer: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _backing: tuple = field(default=(), init=False, repr=False, compare=False)
+    _segments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @classmethod
+    def from_buffer(cls, buffer: np.ndarray, shapes: dict[str, tuple[int, ...]], n_users: int) -> "ParameterSet":
+        """A set whose arrays, canonically ordered in shapes, are views into buffer."""
+        views = buffer_views(buffer, shapes)
+        params = cls(
+            n_users=n_users,
+            deep_W=[views[name] for name in shapes if name.startswith("deep_W.")],
+            deep_b=[views[name] for name in shapes if name.startswith("deep_b.")],
+            **{name: views[name] for name in shapes if not name.startswith("deep_")},
+        )
+        params._buffer = buffer
+        params._backing = params._current()
+        params._segments = {name: views[name] for name in (PQ, SHARED, BIAS) if name in views}
+        return params
+
+    def __reduce__(self):
+        # a pickled view carries its own copy, so send the buffer once
+        return (ParameterSet.from_buffer, (self.flat(), self.shapes(), self.n_users))
+
+    def _current(self) -> tuple:
+        return (self.P, self.Q, self.W, self.b, self.H, self.h, *self.deep_W, *self.deep_b,
+                self.V, self.b_user, self.b_item)
+
+    def buffer(self) -> np.ndarray | None:
+        """The buffer every array is a view of; None when built or rebound array by array."""
+        current = self._current()
+        if (self._buffer is None or len(current) != len(self._backing)
+                or not all(map(operator.is_, current, self._backing))):
+            return None
+        return self._buffer
+
+    def flat(self) -> np.ndarray:
+        """Every array in canonical order as one vector: the buffer, or a copy without one."""
+        buffer = self.buffer()
+        if buffer is None:
+            return np.concatenate([arr.ravel() for _, arr in self.arrays()])
+        return buffer
+
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        return {name: arr.shape for name, arr in self.arrays()}
 
     @property
     def n_items(self) -> int:
@@ -118,6 +209,9 @@ class ParameterSet:
                 yield name, arr
 
     def get(self, name: str) -> np.ndarray:
+        """An array by name, or a segment (PQ, SHARED, BIAS) of a buffer-backed set."""
+        if name in self._segments:
+            return self._segments[name]
         if name.startswith("deep_W."):
             return self.deep_W[int(name.split(".")[1])]
         if name.startswith("deep_b."):
@@ -127,36 +221,29 @@ class ParameterSet:
             raise KeyError(name)
         return arr
 
+    def segments(self) -> dict[str, np.ndarray]:
+        """PQ, SHARED and BIAS: views into the buffer, or laid-out copies without one."""
+        if self.buffer() is None:
+            return buffer_views(self.flat(), self.shapes())
+        return self._segments
+
     def copy(self) -> "ParameterSet":
-        out = ParameterSet(n_users=self.n_users)
-        for name, arr in self.arrays():
-            _assign(out, name, arr.copy())
-        return out
+        return ParameterSet.from_buffer(self.flat().copy(), self.shapes(), self.n_users)
 
     def sum_squares(self) -> float:
+        # per array, so the reported loss keeps its summation order
         return float(sum(np.sum(a * a) for _, a in self.arrays()))
 
     def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for _, a in self.arrays())
-
-
-def _assign(params: ParameterSet, name: str, arr: np.ndarray) -> None:
-    if name.startswith("deep_W.") or name.startswith("deep_b."):
-        lst = params.deep_W if name.startswith("deep_W.") else params.deep_b
-        idx = int(name.split(".")[1])
-        while len(lst) <= idx:
-            lst.append(None)
-        lst[idx] = arr
-    else:
-        setattr(params, name, arr)
+        return bool(np.isfinite(self.flat()).all())
 
 
 def params_equal(a: ParameterSet, b: ParameterSet) -> bool:
-    names_a = [n for n, _ in a.arrays()]
-    names_b = [n for n, _ in b.arrays()]
-    if names_a != names_b or a.n_users != b.n_users:
-        return False
-    return all(np.array_equal(a.get(n), b.get(n)) for n in names_a)
+    return (
+        a.n_users == b.n_users
+        and list(a.shapes().items()) == list(b.shapes().items())
+        and np.array_equal(a.flat(), b.flat())
+    )
 
 
 def init_parameters(
@@ -176,13 +263,12 @@ def init_parameters(
     if item_count < 1 or user_count < 1:
         raise ValueError(f"need at least one item and one user, got {item_count}, {user_count}")
     rng = np.random.default_rng(seed)
-    params = ParameterSet(n_users=user_count)
-    for name, shape in array_shapes(config, item_count, user_count).items():
-        if _is_bias(name):
-            arr = np.zeros(shape)
-        else:
-            arr = rng.normal(0.0, INIT_STD, size=shape)
-        _assign(params, name, arr)
+    shapes = array_shapes(config, item_count, user_count)
+    buffer = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+    views = buffer_views(buffer, shapes)
+    for name, shape in shapes.items():
+        if not _is_bias(name):
+            views[name][...] = rng.normal(0.0, INIT_STD, size=shape)
     if pretrained is not None:
         p, q = pretrained
         expected = (item_count, config.d)
@@ -190,9 +276,9 @@ def init_parameters(
             raise ValueError(
                 f"pretrained embeddings shaped {p.shape} and {q.shape}, expected {expected}"
             )
-        params.P = np.array(p, dtype=np.float64, copy=True)
-        params.Q = np.array(q, dtype=np.float64, copy=True)
-    return params
+        views["P"][...] = p
+        views["Q"][...] = q
+    return ParameterSet.from_buffer(buffer, shapes, user_count)
 
 
 def _format_header(config: ModelConfig, item_count: int, user_count: int) -> str:
@@ -217,13 +303,12 @@ def _format_header(config: ModelConfig, item_count: int, user_count: int) -> str
 def save_checkpoint(params: ParameterSet, config: ModelConfig, path) -> None:
     """Write params to path in the version-1 checkpoint format."""
     expected = array_shapes(config, params.n_items, params.n_users)
+    shapes = params.shapes()
+    if shapes != expected:
+        raise ValueError(f"arrays shaped {shapes}, config expects {expected}")
     with atomic_open(path, "wb") as fh:
         fh.write(_format_header(config, params.n_items, params.n_users).encode("ascii"))
-        for name, shape in expected.items():
-            arr = params.get(name)
-            if arr.shape != shape:
-                raise ValueError(f"array {name} shaped {arr.shape}, config expects {shape}")
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(params.flat(), dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
@@ -270,11 +355,5 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
         raise CheckpointSizeError(
             f"body holds {len(body)} bytes, header shapes require {expected_bytes}"
         )
-    params = ParameterSet(n_users=user_count)
-    offset = 0
-    for name, shape in shapes.items():
-        count = int(np.prod(shape))
-        chunk = np.frombuffer(body, dtype="<f8", count=count, offset=offset)
-        _assign(params, name, chunk.astype(np.float64).reshape(shape).copy())
-        offset += count * 8
-    return params, config
+    buffer = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    return ParameterSet.from_buffer(buffer, shapes, user_count), config

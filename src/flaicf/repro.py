@@ -222,7 +222,7 @@ def run_delicious(data_dir, out_dir, seeds=SEEDS, lr_grid=LR_GRID, eval_workers:
             for name, runs in per_seed.items()
         },
     }
-    with open(Path(out_dir) / "delicious_summary.json", "w") as fh:
+    with atomic_open(Path(out_dir) / "delicious_summary.json") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary
@@ -236,7 +236,7 @@ def run_ml1m(data_dir, out_dir, seed: int = 1, lr: float = 0.01, eval_workers: i
         split, cache, "ml1m", model="FLA_NAIS", design="DESIGN2", d=16, beta=0.7,
         lr=lr, seed=seed, epochs=30, patience=5, eval_workers=eval_workers,
     )
-    with open(Path(out_dir) / "ml1m_summary.json", "w") as fh:
+    with atomic_open(Path(out_dir) / "ml1m_summary.json") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return result

@@ -3,8 +3,12 @@
 Each epoch regenerates negative samples (neg_ratio uniform draws from the
 non-positive items per training positive), shuffles all instances, and
 applies one Adagrad update per instance using the exact gradients from
-the gradients module. Validation HR and NDCG are computed after every
-epoch; training returns the parameters of the best validation-HR epoch.
+the gradients module. The parameters and the accumulators each live in
+one buffer (params module), so an update is one expression per buffer
+segment the instance touched, however many arrays the model has; it
+flushes parameters below the smallest normal float64 to 0. Validation HR
+and NDCG are computed after every epoch; training returns the parameters
+of the best validation-HR epoch.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .attention import NonFiniteError
 from .config import ModelConfig, ModelKind, TrainConfig
 from .evaluation import MetricsRecord, evaluate_model
 from .gradients import GradcheckReport, GradientSet, backward, gradcheck, instance_data_loss
-from .params import ParameterSet, init_parameters
+from .params import ParameterSet, buffer_views, init_parameters
 from .predictors import PredictionContext, forward_cache
 
 __all__ = [
@@ -48,13 +52,21 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class OptimizerState:
-    """Adagrad squared-gradient accumulators, one per parameter array."""
+    """Adagrad squared-gradient accumulators, one per parameter array.
+
+    For a buffer-backed parameter set they are views into one buffer laid
+    out like it, and acc also holds that buffer's segments (PQ, SHARED,
+    BIAS) under their names.
+    """
 
     acc: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def for_params(cls, params: ParameterSet) -> "OptimizerState":
-        return cls(acc={name: np.zeros_like(arr) for name, arr in params.arrays()})
+        buffer = params.buffer()
+        if buffer is None:
+            return cls(acc={name: np.zeros_like(arr) for name, arr in params.arrays()})
+        return cls(acc=buffer_views(np.zeros_like(buffer), params.shapes()))
 
 
 def log_loss(scores, labels, l2: float = 0.0, params: ParameterSet | None = None) -> float:
@@ -84,23 +96,20 @@ def adagrad_step(
 ) -> None:
     """In-place update: acc += g^2; theta -= lr * g / (sqrt(acc) + eps).
 
+    One update expression per entry of grads.updates: a buffer segment
+    (all shared arrays at once, the P/Q rows an instance touched, the deep
+    family's two biases) or, for a set built array by array, one array.
     Every theta the update writes whose magnitude falls below TINY becomes
     0: l2 decays the weights of dead ReLU units toward zero, and subnormal
     values slow every later product they enter.
     """
-    for name, grad in grads.dense.items():
-        acc = state.acc[name]
-        acc += grad * grad
-        arr = params.get(name)
-        arr -= learning_rate * grad / (np.sqrt(acc) + epsilon)
-        arr[np.abs(arr) < TINY] = 0.0
-    for name, (idx, grad) in grads.rows.items():
-        acc = state.acc[name]
-        acc[idx] += grad * grad
-        arr = params.get(name)
-        rows = arr[idx] - learning_rate * grad / (np.sqrt(acc[idx]) + epsilon)
-        rows[np.abs(rows) < TINY] = 0.0
-        arr[idx] = rows
+    for name, idx, grad in grads.updates(params):
+        theta, acc = params.get(name), state.acc[name]
+        total = acc[idx] + grad * grad
+        acc[idx] = total
+        new = theta[idx] - learning_rate * grad / (np.sqrt(total) + epsilon)
+        new[np.abs(new) < TINY] = 0.0
+        theta[idx] = new
 
 
 def sample_negatives(
@@ -176,6 +185,7 @@ def train(
     state = OptimizerState.for_params(params)
     rng = np.random.default_rng(train_config.seed)
     pos_by_user = split.train.items_by_user
+    ctx = PredictionContext(0, 0, np.empty(0, dtype=np.int64))
 
     records: list[MetricsRecord] = []
     best_params = params.copy()
@@ -188,25 +198,29 @@ def train(
         )
         order = rng.permutation(users.size)
         loss_sum = 0.0
-        for step, idx in enumerate(order):
-            u = int(users[idx])
-            i = int(items[idx])
-            y = float(labels[idx])
-            ctx = PredictionContext(u, i, history_for(pos_by_user[u], i, y))
-            try:
-                cache = forward_cache(kind, ctx, params, model_config)
-                loss = instance_data_loss(cache.score, y)
-                if not (math.isfinite(cache.score) and math.isfinite(loss)):
-                    raise NonFiniteError(f"score {cache.score}, loss {loss}")
-            except NonFiniteError as exc:
-                raise TrainingDivergedError(
-                    f"epoch {epoch} instance {step} (user {u}, item {i}): {exc}"
-                ) from exc
-            loss_sum += loss
-            grads = backward(cache, y, params, model_config, train_config.l2)
-            adagrad_step(
-                params, grads, state, train_config.learning_rate, train_config.adagrad_epsilon
-            )
+        # overflow and NaN are caught below as TrainingDivergedError, so
+        # numpy's warnings about them would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step, idx in enumerate(order):
+                u = int(users[idx])
+                i = int(items[idx])
+                y = float(labels[idx])
+                # history_for drops the target, so PredictionContext's check is not repeated
+                ctx.user, ctx.target, ctx.history = u, i, history_for(pos_by_user[u], i, y)
+                try:
+                    cache = forward_cache(kind, ctx, params, model_config)
+                    loss = instance_data_loss(cache.score, y)
+                    if not (math.isfinite(cache.score) and math.isfinite(loss)):
+                        raise NonFiniteError(f"score {cache.score}, loss {loss}")
+                except NonFiniteError as exc:
+                    raise TrainingDivergedError(
+                        f"epoch {epoch} instance {step} (user {u}, item {i}): {exc}"
+                    ) from exc
+                loss_sum += loss
+                grads = backward(cache, y, params, model_config, train_config.l2)
+                adagrad_step(
+                    params, grads, state, train_config.learning_rate, train_config.adagrad_epsilon
+                )
         if not params.all_finite():
             raise TrainingDivergedError(f"non-finite parameter after epoch {epoch}")
         epoch_loss = loss_sum / users.size + train_config.l2 * params.sum_squares()

@@ -18,6 +18,8 @@ from tests.conftest import random_dataset
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 SPANS = (
     "predictors.forward_cache",
+    "gradients.backward",
+    "training.adagrad_step",
     "attention.hidden",
     "attention.item_softmax",
     "attention.row_softmax",

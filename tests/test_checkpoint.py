@@ -8,11 +8,13 @@ from flaicf.params import (
     CheckpointFormatError,
     CheckpointSizeError,
     CheckpointVersionError,
+    array_shapes,
     init_parameters,
     load_checkpoint,
     params_equal,
     save_checkpoint,
 )
+from tests.conftest import random_params
 
 ALL_CONFIGS = [
     ModelConfig(model_kind=ModelKind.FISM, d=5, alpha=0.25),
@@ -37,6 +39,19 @@ def test_round_trip_bit_exact(tmp_path, cfg):
     for (name_a, a), (name_b, b) in zip(params.arrays(), loaded.arrays()):
         assert name_a == name_b
         assert a.tobytes() == b.tobytes()  # bitwise, not approx
+
+
+@pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: f"{c.model_kind}-{c.design}")
+def test_body_is_every_array_in_canonical_order(tmp_path, cfg):
+    # pins the on-disk layout, which a round trip alone would not
+    backed = init_parameters(cfg, item_count=13, user_count=4, seed=2)
+    backed.flat()[:] = np.random.default_rng(3).normal(size=backed.flat().size)
+    for params in (backed, random_params(cfg, 13, 4, seed=4)):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, cfg, path)
+        body = path.read_bytes().split(b"\n", 1)[1]
+        names = array_shapes(cfg, 13, 4)
+        assert body == b"".join(params.get(name).astype("<f8").tobytes() for name in names)
 
 
 def test_round_trip_preserves_nonfinite_payload(tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -292,3 +293,22 @@ def test_divergence_stops_at_the_first_bad_instance(prepared, tmp_path, capsys, 
     assert "error: category=diverged" in err
     assert re.search(r"epoch 1 instance \d+ \(user \d+, item \d+\)", err), err
     assert not (tmp_path / "run" / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--model", "NAIS"], ["--model", "FLA_NAIS", "--design", "DESIGN2"]],
+    ids=["NAIS", "FLA_NAIS-D2"],
+)
+def test_divergence_raises_no_numpy_warning(prepared, tmp_path, capsys, flags):
+    # the divergence error is the whole report: numpy's overflow and
+    # invalid-value warnings on the way there would only repeat it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([
+            "train", "--data_dir", str(prepared), "--out_dir", str(tmp_path / "run"),
+            *flags, "--d", "4", "--epochs", "2", "--lr", "1e300", "--seed", "3",
+        ])
+    err = capsys.readouterr().err
+    assert code == 5, err
+    assert "error: category=diverged" in err

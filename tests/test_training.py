@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from flaicf.config import ModelConfig, ModelKind, TrainConfig
-from flaicf.gradients import GradientSet
+from flaicf.config import Design, ModelConfig, ModelKind, TrainConfig
+from flaicf.gradients import GradientSet, backward
 from flaicf.params import init_parameters, params_equal
 from flaicf.training import (
     OptimizerState,
@@ -19,6 +19,7 @@ from flaicf.training import (
     sample_negatives,
     train,
 )
+from flaicf.predictors import PredictionContext, forward_cache
 from tests.conftest import random_dataset, random_params
 from flaicf.data import split_per_user
 
@@ -284,3 +285,38 @@ def test_training_leaves_no_subnormal_parameter(kind, l2):
         for name, arr in params.arrays()
     }
     assert not any(subnormal.values()), subnormal
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ModelConfig(model_kind=ModelKind.NAIS, d=4),
+        ModelConfig(model_kind=ModelKind.FLA_NAIS, design=Design.DESIGN1, d=4),
+        ModelConfig(model_kind=ModelKind.FLA_DICF, design=Design.DESIGN2, d=4),
+    ],
+    ids=["NAIS", "FLA_NAIS-D1", "FLA_DICF-D2"],
+)
+def test_segment_update_equals_per_array_update(cfg):
+    # backward's flat segments and the same gradients handed over array by
+    # array (as a hand-built GradientSet) must move the parameters and the
+    # accumulators bit for bit alike
+    n_items, n_users = 9, 3
+    flat = init_parameters(cfg, n_items, n_users, seed=1)
+    flat.flat()[:] = np.random.default_rng(2).normal(0.0, 0.5, size=flat.flat().size)
+    split = flat.copy()
+    assert flat.buffer() is not None and split.buffer() is not None
+    state_flat, state_split = OptimizerState.for_params(flat), OptimizerState.for_params(split)
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        items = rng.permutation(n_items)
+        ctx = PredictionContext(int(rng.integers(n_users)), int(items[0]),
+                                np.sort(items[1 : 1 + int(rng.integers(1, 6))]))
+        label = float(rng.integers(2))
+        grads = backward(forward_cache(cfg.model_kind, ctx, flat, cfg), label, flat, cfg, l2=1e-3)
+        assert grads.updates(flat) is grads.segments
+        adagrad_step(flat, grads, state_flat, 0.05)
+        grads = backward(forward_cache(cfg.model_kind, ctx, split, cfg), label, split, cfg, l2=1e-3)
+        adagrad_step(split, GradientSet(dict(grads.dense), dict(grads.rows)), state_split, 0.05)
+    assert flat.flat().tobytes() == split.flat().tobytes()
+    for name, _ in flat.arrays():
+        assert state_flat.acc[name].tobytes() == state_split.acc[name].tobytes(), name
