@@ -6,8 +6,8 @@ import pytest
 from flaicf import data
 from flaicf.cli import _write_metrics, main
 from flaicf.config import ModelConfig, ModelKind
-from flaicf.evaluation import MetricsRecord
 from flaicf.data import load_split, save_split, split_per_user
+from flaicf.evaluation import MetricsRecord
 from flaicf.params import init_parameters, load_checkpoint, params_equal, save_checkpoint
 from flaicf.repro import RunCache
 from tests.conftest import random_dataset, random_params
@@ -87,11 +87,12 @@ def test_interrupted_split_save_keeps_previous_files(tmp_path, monkeypatch):
 def test_interrupted_metrics_write_keeps_previous_file(tmp_path, monkeypatch):
     # one record: the one-line log is written whole, metrics.json fails
     first = MetricsRecord(split="valid", hr=0.5, ndcg=0.25, n=10, epoch=1, loss=0.75)
+    second = MetricsRecord(split="valid", hr=0.0, ndcg=0.0, n=10, epoch=2, loss=1.5)
     _write_metrics(tmp_path / "metrics", [first])
     before = _snapshot(tmp_path)
     _break_writes(monkeypatch)
     with pytest.raises(OSError):
-        _write_metrics(tmp_path / "metrics", [MetricsRecord(split="valid", hr=0.0, ndcg=0.0, n=10, epoch=2, loss=1.5)])
+        _write_metrics(tmp_path / "metrics", [second])
     after = _snapshot(tmp_path)
     assert sorted(after) == sorted(before)
     assert after["metrics.json"] == before["metrics.json"]
