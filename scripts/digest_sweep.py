@@ -1,0 +1,85 @@
+"""Train the benchmark's model sweep on a prepared split and print artifact digests.
+
+    python3 scripts/digest_sweep.py --data_dir D --out_dir O
+
+Runs, through flaicf.cli.main, FISM for 3 epochs, then NAIS (PROD and
+CONCAT), FLA_NAIS and FLA_DICF (Designs 1 and 2) and DEEPICF for 1 epoch
+each from the FISM checkpoint, with the flags bench/run.py trains with,
+and `evaluate --split test` of every model. It prints one
+`sha256  path` line per file written, the path relative to O. The
+data_dir, out_dir and pretrain_checkpoint values in config.used are
+replaced by placeholders before hashing, so two checkouts that train the
+same models print the same lines; diff the output of two checkouts to
+check that a change leaves every artifact bitwise equal.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from flaicf import cli
+
+# the model flags, seed and epochs of bench/run.py
+FLAGS = ["--d", "16", "--beta", "0.7", "--l2", "1e-6", "--neg_ratio", "4", "--lr", "0.05",
+         "--seed", "1"]
+FISM_EPOCHS = 3
+VARIANTS = (
+    ("FISM", ["--model", "FISM"]),
+    ("NAIS", ["--model", "NAIS", "--attention_mode", "PROD"]),
+    ("NAIS-CONCAT", ["--model", "NAIS", "--attention_mode", "CONCAT"]),
+    ("FLA_NAIS-D1", ["--model", "FLA_NAIS", "--design", "DESIGN1"]),
+    ("FLA_NAIS-D2", ["--model", "FLA_NAIS", "--design", "DESIGN2"]),
+    ("DEEPICF", ["--model", "DEEPICF"]),
+    ("FLA_DICF-D1", ["--model", "FLA_DICF", "--design", "DESIGN1"]),
+    ("FLA_DICF-D2", ["--model", "FLA_DICF", "--design", "DESIGN2"]),
+)
+PATH_KEYS = ("data_dir", "out_dir", "pretrain_checkpoint")
+
+
+def run(argv: list[str]) -> None:
+    # the commands' progress lines go to stderr; stdout holds only digests
+    with contextlib.redirect_stdout(sys.stderr):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"flaicf {' '.join(argv)} exited {code}")
+
+
+def digest(path: Path) -> str:
+    data = path.read_bytes()
+    if path.name == "config.used":
+        lines = data.decode("utf-8").splitlines(keepends=True)
+        data = "".join(
+            f"{line.split('=', 1)[0]}=<path>\n" if line.split("=", 1)[0] in PATH_KEYS else line
+            for line in lines
+        ).encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    ap.add_argument("--data_dir", required=True, help="prepared split directory")
+    ap.add_argument("--out_dir", required=True, help="directory for every run's output")
+    args = ap.parse_args()
+    out = Path(args.out_dir)
+    fism_ckpt = out / "FISM" / "model.ckpt"
+    for label, flags in VARIANTS:
+        run_dir = out / label
+        if label == "FISM":
+            extra = ["--epochs", str(FISM_EPOCHS), "--patience", str(FISM_EPOCHS)]
+        else:
+            extra = ["--epochs", "1", "--pretrain", "true", "--pretrain_checkpoint", str(fism_ckpt)]
+        run(["train", "--data_dir", args.data_dir, "--out_dir", str(run_dir)] + flags + FLAGS + extra)
+        run(["evaluate", "--data_dir", args.data_dir, "--split", "test",
+             "--checkpoint", str(run_dir / "model.ckpt"), "--out_dir", str(run_dir)])
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        print(f"{digest(path)}  {path.relative_to(out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -58,7 +58,7 @@ class SmoothedSoftmax:
     @property
     def grad_mask(self) -> np.ndarray:
         """True where the logit clamp is inactive, so gradients pass."""
-        return (self.logits > -LOGIT_CLAMP) & (self.logits < LOGIT_CLAMP)
+        return np.abs(self.logits) < LOGIT_CLAMP
 
 
 def feature_logits(p: np.ndarray, q: np.ndarray, W: np.ndarray, b: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -79,7 +79,7 @@ def normalize_features(logits: np.ndarray) -> np.ndarray:
     logits = np.asarray(logits, dtype=float)
     if logits.size == 0:
         raise ValueError("cannot normalize an empty logit vector")
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise ValueError("feature logits must be finite")
     return _row_softmax(logits)
 
@@ -95,14 +95,14 @@ def _smoothed_parts(logits: np.ndarray, beta: float) -> SmoothedSoftmax:
         raise ValueError("smoothed softmax needs at least one logit")
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise NonFiniteError("logits must be finite")
-    e = np.exp(np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP))
+    e = np.exp(logits.clip(-LOGIT_CLAMP, LOGIT_CLAMP))
     denom = e.sum(axis=-1)
     # libm's pow, one target at a time: numpy's vectorized power differs
     # from it in the last bit for some inputs, and a candidate's weights
     # must not depend on how many candidates share its block.
-    if np.ndim(denom) == 0:
+    if denom.ndim == 0:
         scale = float(denom) ** beta
     else:
         scale = np.fromiter(map(math.pow, denom.tolist(), repeat(beta)), float, denom.size)[:, None]
@@ -119,9 +119,9 @@ def _col_smoothed_parts(a_hat: np.ndarray, beta: float) -> SmoothedSoftmax:
     """Smoothed softmax over the history axis of feature logits, per feature."""
     if a_hat.shape[-2] == 0:
         raise ValueError("smoothed softmax needs at least one history item")
-    if not np.all(np.isfinite(a_hat)):
+    if not np.isfinite(a_hat).all():
         raise NonFiniteError("feature logits must be finite")
-    e = np.exp(np.clip(a_hat, -LOGIT_CLAMP, LOGIT_CLAMP))
+    e = np.exp(a_hat.clip(-LOGIT_CLAMP, LOGIT_CLAMP))
     denom = e.sum(axis=-2)
     return SmoothedSoftmax(weights=e / denom[..., None, :] ** beta, exp=e, denom=denom, logits=a_hat)
 

@@ -19,6 +19,7 @@ from itertools import product
 from pathlib import Path
 
 from .config import (
+    DEEP_KINDS,
     AttentionMode,
     ConfigError,
     Design,
@@ -205,6 +206,19 @@ def _out_dir(config: RunConfig, suffix: str) -> Path:
     return Path(base) / suffix if suffix else Path(base)
 
 
+def _load_checkpoint_for(path, split):
+    """load_checkpoint, rejecting a model of other item (deep kinds: or user) counts than split."""
+    params, model_config = load_checkpoint(path)
+    train = split.train
+    deep = model_config.model_kind in DEEP_KINDS
+    if params.n_items != train.item_count or (deep and params.n_users != train.user_count):
+        raise CheckpointError(
+            f"{path} holds a model of {params.n_items} items and {params.n_users} users, "
+            f"the split has {train.item_count} and {train.user_count}"
+        )
+    return params, model_config
+
+
 def _require(config: RunConfig, *keys: str) -> None:
     for key in keys:
         if not config.values[key]:
@@ -265,7 +279,7 @@ def cmd_train(config: RunConfig, suffix: str = "") -> dict:
     pretrained = None
     if config.flag("pretrain"):
         if config.values["pretrain_checkpoint"]:
-            fism_params, fism_config = load_checkpoint(config.values["pretrain_checkpoint"])
+            fism_params, fism_config = _load_checkpoint_for(config.values["pretrain_checkpoint"], split)
             if fism_config.d != model_config.d:
                 raise CliError(
                     f"pretrain checkpoint has d={fism_config.d}, run needs d={model_config.d}"
@@ -322,7 +336,7 @@ def cmd_evaluate(config: RunConfig, suffix: str = "") -> dict:
         source = config.values["baseline"].upper()
     else:
         _require(config, "checkpoint")
-        params, model_config = load_checkpoint(config.values["checkpoint"])
+        params, model_config = _load_checkpoint_for(config.values["checkpoint"], split)
         record = evaluate_model(
             params, model_config, split, on, n, workers=config.values["eval_workers"]
         )
@@ -365,9 +379,11 @@ def _sanitize(raw_id: str) -> str:
 def cmd_export_attention(config: RunConfig, suffix: str = "") -> dict:
     _require(config, "checkpoint", "data_dir", "out_dir", "user", "targets")
     out = _out_dir(config, suffix)
-    out.mkdir(parents=True, exist_ok=True)
-    params, model_config = load_checkpoint(config.values["checkpoint"])
     split = load_split(config.values["data_dir"])
+    params, model_config = _load_checkpoint_for(config.values["checkpoint"], split)
+    if model_config.model_kind is ModelKind.FISM:
+        raise CliError("a FISM checkpoint has no attention weights to export")
+    out.mkdir(parents=True, exist_ok=True)
     user_raw = config.values["user"]
     try:
         user = split.train.user_ids.index(user_raw)
@@ -403,8 +419,6 @@ def cmd_export_attention(config: RunConfig, suffix: str = "") -> dict:
             written.append(str(path))
     for path in written:
         print(f"wrote {path}")
-    if not written:
-        raise CliError("model kind exports no attention weights")
     return {"written": written}
 
 

@@ -66,33 +66,59 @@ class GradientSet:
 
     dense holds full-shape gradients for shared arrays; rows holds
     (indices, row gradients) pairs for embedding tables and bias vectors
-    where only a few rows are touched. backward also fills segments with
-    the same gradients laid out like the parameter buffer's segments
-    (params.PQ, SHARED, BIAS), as (segment, indices, gradient) triples:
-    one flat vector over SHARED whose views are dense, the target row then
-    the history rows as one block of the P/Q table, and the deep family's
-    two bias entries. rows' gradients are views into those blocks.
+    where only a few rows are touched. For a parameter set that lives in
+    one buffer, backward also fills segments with the same gradients laid
+    out like the buffer's segments (params.PQ, SHARED, BIAS), as (segment,
+    indices, gradient, parameters) entries: one vector over SHARED whose
+    views are dense and the segment itself, then the target row and the
+    history rows as one block of the P/Q table, and the deep family's two
+    bias entries, each with the values the forward pass read there.
+    rows' gradients are views into those blocks.
     """
 
     dense: dict[str, np.ndarray]
     rows: dict[str, tuple[np.ndarray, np.ndarray]]
-    segments: list[tuple[str, object, np.ndarray]] | None = None
+    segments: list[tuple[str, object, np.ndarray, np.ndarray]] | None = None
 
     def items(self):
         yield from self.dense.items()
         yield from self.rows.items()
 
-    def updates(self, params: ParameterSet) -> list[tuple[str, object, np.ndarray]]:
-        """(name, index, gradient) triples naming arrays or segments of params.
+    def updates(self, params: ParameterSet) -> list[tuple[str, object, np.ndarray, np.ndarray]]:
+        """(name, index, gradient, parameters) entries naming arrays or segments of params.
 
-        The segments when params lives in one buffer, otherwise one triple
-        per array (index ... for a dense gradient).
+        The segments when backward filled them, otherwise one entry per
+        array (index ... for a dense gradient, whose parameters are the
+        whole array).
         """
-        if self.segments is not None and params.buffer() is not None:
+        if self.segments is not None:
             return self.segments
-        return [(name, ..., grad) for name, grad in self.dense.items()] + [
-            (name, idx, grad) for name, (idx, grad) in self.rows.items()
+        return [(name, ..., grad, params.get(name)) for name, grad in self.dense.items()] + [
+            (name, idx, grad, params.get(name)[idx]) for name, (idx, grad) in self.rows.items()
         ]
+
+
+@dataclass
+class Workspace:
+    """What backward reuses from one instance to the next.
+
+    The parameter set's segments (views into its buffer when backed,
+    laid-out copies otherwise) and a SHARED gradient vector with its
+    per-array views. train builds one per run; backward builds its own
+    when given none, so its results never share memory with earlier ones.
+    """
+
+    segments: dict[str, np.ndarray]
+    backed: bool
+    shared: np.ndarray
+    dense: dict[str, np.ndarray]
+
+    @classmethod
+    def for_params(cls, params: ParameterSet, config: ModelConfig) -> "Workspace":
+        layout, size = shared_layout(config)
+        shared = np.empty(size)
+        dense = {name: shared[start:stop].reshape(shape) for name, start, stop, shape in layout}
+        return cls(params.segments(), params.buffer() is not None, shared, dense)
 
 
 def _smoothed_vjp(parts: SmoothedSoftmax, dw: np.ndarray, beta: float) -> np.ndarray:
@@ -112,7 +138,7 @@ def _deep_vjp(cache: ForwardCache, params: ParameterSet, g: float, dense: dict) 
     du = g * params.V
     for l in range(len(params.deep_W) - 1, -1, -1):
         dz = np.multiply(du, cache.deep_z[l] > 0.0, out=dense[f"deep_b.{l}"])
-        np.outer(dz, cache.deep_u[l], out=dense[f"deep_W.{l}"])
+        np.multiply(dz[:, None], cache.deep_u[l], out=dense[f"deep_W.{l}"])
         du = params.deep_W[l].T @ dz
     return du
 
@@ -123,59 +149,57 @@ def backward(
     params: ParameterSet,
     config: ModelConfig,
     l2: float = 0.0,
+    workspace: Workspace | None = None,
 ) -> GradientSet:
     """Exact gradient of the per-instance objective at the cached forward.
 
-    The shared arrays' gradients are written into one vector laid out like
-    the SHARED segment, the P and Q rows into one block, and the l2 term is
-    added to each with one operation.
+    The shared arrays' gradients are written into the workspace's vector
+    laid out like the SHARED segment (a fresh workspace's when none is
+    given), the P and Q rows into one block, and the l2 term is added to
+    each with one operation.
     """
     kind = config.model_kind
     ctx = cache.ctx
     g = score_grad(cache.score, label)
     decay = 2.0 * l2
-    segments = params.segments()
-    dense: dict[str, np.ndarray] = {}
+    ws = Workspace.for_params(params, config) if workspace is None else workspace
+    segments = ws.segments
     rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    grads = GradientSet(dense, rows, [])
+    entries: list = []
+    grads = GradientSet({}, rows, entries if ws.backed else None)
 
     if kind in DEEP_KINDS:
         idx = np.array([ctx.user, params.n_users + ctx.target])
-        dbias = np.full(2, g)
+        bias = segments[BIAS].take(idx)
+        dbias = np.array((g, g))
         if l2 != 0.0:
-            dbias += decay * segments[BIAS][idx]
+            dbias += decay * bias
         rows["b_user"] = (idx[:1], dbias[:1])
         rows["b_item"] = (np.array([ctx.target]), dbias[1:])
-        grads.segments.append((BIAS, idx, dbias))
+        entries.append((BIAS, idx, dbias, bias))
     if cache.empty:
         return grads
 
-    hist = ctx.history
-    idx = np.empty(hist.size + 1, dtype=np.int64)
-    idx[0] = ctx.target
-    np.add(hist, params.n_items, out=idx[1:])
-    pq = segments[PQ][idx]
-    p, Qh = pq[0], pq[1:]
     # the target row, then the history rows, of the P/Q table
-    dpq = np.zeros_like(pq)
+    idx, pq = cache.idx, cache.pq
+    p, Qh = pq[0], pq[1:]
+    dpq = np.zeros(pq.shape)
     dp, dQh = dpq[0], dpq[1:]
     rows["P"] = (idx[:1], dpq[:1])
-    rows["Q"] = (hist, dQh)
-    grads.segments.append((PQ, idx, dpq))
+    rows["Q"] = (ctx.history, dQh)
+    entries.append((PQ, idx, dpq, pq))
 
     if kind is ModelKind.FISM:
-        c = hist.size ** (-config.alpha)
+        c = ctx.history.size ** (-config.alpha)
         np.multiply(g * c, Qh.sum(axis=0), out=dp)
         np.multiply(g * c, p, out=dQh)
         if l2 != 0.0:
             dpq += decay * pq
         return grads
 
-    layout, size = shared_layout(config)
-    flat = np.empty(size)
-    for name, start, stop, shape in layout:
-        dense[name] = flat[start:stop].reshape(shape)
-    grads.segments.append((SHARED, ..., flat))
+    dense, flat = ws.dense, ws.shared
+    grads.dense = dense
+    entries.append((SHARED, ..., flat, segments[SHARED]))
 
     concat = kind is ModelKind.NAIS and config.attention_mode is AttentionMode.CONCAT
     beta = config.beta
@@ -245,37 +269,16 @@ def backward(
 
 
 def touched_parameters(ctx: PredictionContext, config: ModelConfig) -> list[tuple[str, np.ndarray | None]]:
-    """Arrays (and rows) an instance's objective depends on, by contract."""
-    kind = config.model_kind
-    deep = kind in DEEP_KINDS
-    if ctx.history.size == 0:
-        if deep:
-            return [
-                ("b_user", np.array([ctx.user])),
-                ("b_item", np.array([ctx.target])),
-            ]
-        return []
-    touched: list[tuple[str, np.ndarray | None]] = [
-        ("P", np.array([ctx.target])),
-        ("Q", ctx.history),
-    ]
-    if kind is not ModelKind.FISM:
-        touched.append(("W", None))
-        touched.append(("b", None))
-        if kind in FLA_KINDS:
-            touched.append(("H", None))
-            if config.design is Design.DESIGN1:
-                touched.append(("h", None))
-        else:
-            touched.append(("h", None))
-    if deep:
-        for l in range(len(config.deep_layers)):
-            touched.append((f"deep_W.{l}", None))
-            touched.append((f"deep_b.{l}", None))
-        touched.append(("V", None))
-        touched.append(("b_user", np.array([ctx.user])))
-        touched.append(("b_item", np.array([ctx.target])))
-    return touched
+    """Arrays (and rows) an instance's objective depends on, by contract.
+
+    Every array of the model, whole except for the target's row of P, the
+    history's rows of Q and the user's and the target's biases; with an
+    empty history only the biases.
+    """
+    rows = {"P": np.array([ctx.target]), "Q": ctx.history,
+            "b_user": np.array([ctx.user]), "b_item": np.array([ctx.target])}
+    return [(name, rows.get(name)) for name in array_shapes(config, 1, 1)
+            if ctx.history.size or name in ("b_user", "b_item")]
 
 
 def instance_objective(
@@ -292,7 +295,7 @@ def instance_objective(
         for name, idx in touched_parameters(ctx, config):
             arr = params.get(name)
             block = arr if idx is None else arr[idx]
-            loss += l2 * float(np.sum(block * block))
+            loss += l2 * float((block * block).sum())
     return loss
 
 

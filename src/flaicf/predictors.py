@@ -30,7 +30,7 @@ from .attention import (
     hidden_prod,
 )
 from .config import AttentionMode, Design, DEEP_KINDS, FLA_KINDS, ModelConfig, ModelKind
-from .params import ParameterSet
+from .params import PQ, ParameterSet
 
 
 @dataclass
@@ -58,7 +58,8 @@ class ForwardCache:
     """Every intermediate of one forward pass, keyed by the model kind.
 
     For a block of candidate targets every array has a leading candidate
-    axis and score holds one value per candidate.
+    axis and score holds one value per candidate. forward_cache adds the
+    target's and the history's rows of the P/Q table (pq) and their indices.
     """
 
     config: ModelConfig
@@ -76,6 +77,8 @@ class ForwardCache:
     cols: SmoothedSoftmax | None = None
     A: np.ndarray | None = None
     e: np.ndarray | None = None
+    idx: np.ndarray | None = None
+    pq: np.ndarray | None = None
     deep_z: list[np.ndarray] = field(default_factory=list)
     deep_u: list[np.ndarray] = field(default_factory=list)
 
@@ -162,7 +165,7 @@ def forward_block(
         # would add the terms in another order
         cache.score = (cache.item.weights[..., None, :] @ cache.inner[..., None])[..., 0, 0]
     elif kind is ModelKind.FLA_NAIS:
-        cache.score = np.sum(cache.A * cache.X, axis=(-2, -1))
+        cache.score = (cache.A * cache.X).sum(axis=(-2, -1))
     elif kind in DEEP_KINDS:
         weights = cache.A if kind is ModelKind.FLA_DICF else cache.item.weights[..., None]
         cache.e = np.einsum("...md,...md->...d", weights, cache.X)
@@ -177,28 +180,39 @@ def forward_cache(
     ctx: PredictionContext,
     params: ParameterSet,
     config: ModelConfig,
+    pq: np.ndarray | None = None,
 ) -> ForwardCache:
-    """Run one forward pass, retaining intermediates for backward."""
+    """Run one forward pass, retaining intermediates for backward.
+
+    The target's and the history's rows are gathered with one index into
+    the P/Q table pq (params' PQ segment when not given).
+    """
     bias = 0.0
     if model_kind in DEEP_KINDS:
         bias = float(params.b_user[ctx.user] + params.b_item[ctx.target])
-    if ctx.history.size == 0:
+    hist = ctx.history
+    if hist.size == 0:
         return ForwardCache(config, ctx, score=bias, empty=True)
+    if pq is None:
+        pq = params.segments()[PQ]
+    idx = np.empty(hist.size + 1, dtype=np.int64)
+    idx[0] = ctx.target
+    np.add(hist, pq.shape[0] // 2, out=idx[1:])
+    rows = pq.take(idx, axis=0)
     if model_kind is ModelKind.FISM:
-        return ForwardCache(config, ctx, score=predict_fism(ctx, params, config.alpha))
-    p, Q_hist = params.P[ctx.target], params.Q[ctx.history]
-    cache = forward_block(model_kind, config, params, p, Q_hist, bias)
-    cache.ctx = ctx
-    cache.score = float(cache.score)
+        score = hist.size ** (-config.alpha) * (rows[1:] @ rows[0]).sum()
+        cache = ForwardCache(config, score=float(score))
+    else:
+        cache = forward_block(model_kind, config, params, rows[0], rows[1:], bias)
+        cache.score = float(cache.score)
+    cache.ctx, cache.idx, cache.pq = ctx, idx, rows
     return cache
 
 
 def predict_fism(ctx: PredictionContext, params: ParameterSet, alpha: float) -> float:
     """History-length-normalized sum of target-history inner products."""
-    if ctx.history.size == 0:
-        return 0.0
-    inner = params.Q[ctx.history] @ params.P[ctx.target]
-    return float(ctx.history.size ** (-alpha) * inner.sum())
+    config = ModelConfig(model_kind=ModelKind.FISM, d=params.P.shape[1], alpha=alpha)
+    return forward_cache(ModelKind.FISM, ctx, params, config).score
 
 
 def predict_nais(ctx: PredictionContext, params: ParameterSet, config: ModelConfig) -> float:

@@ -6,9 +6,11 @@ applies one Adagrad update per instance using the exact gradients from
 the gradients module. The parameters and the accumulators each live in
 one buffer (params module), so an update is one expression per buffer
 segment the instance touched, however many arrays the model has; it
-flushes parameters below the smallest normal float64 to 0. Validation HR
-and NDCG are computed after every epoch; training returns the parameters
-of the best validation-HR epoch.
+flushes parameters below the smallest normal float64 to 0. Every step of
+a run shares one gradients.Workspace, and the P/Q rows its forward pass
+gathers serve backward and the update too. Validation HR and NDCG are
+computed after every epoch; training returns the parameters of the best
+validation-HR epoch.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 from .attention import NonFiniteError
 from .config import ModelConfig, ModelKind, TrainConfig
 from .evaluation import MetricsRecord, evaluate_model
-from .gradients import GradcheckReport, GradientSet, backward, gradcheck, instance_data_loss
-from .params import ParameterSet, buffer_views, init_parameters
+from .gradients import GradcheckReport, GradientSet, Workspace, backward, gradcheck, instance_data_loss
+from .params import PQ, ParameterSet, buffer_views, init_parameters
 from .predictors import PredictionContext, forward_cache
 
 __all__ = [
@@ -96,20 +98,25 @@ def adagrad_step(
 ) -> None:
     """In-place update: acc += g^2; theta -= lr * g / (sqrt(acc) + eps).
 
-    One update expression per entry of grads.updates: a buffer segment
-    (all shared arrays at once, the P/Q rows an instance touched, the deep
-    family's two biases) or, for a set built array by array, one array.
-    Every theta the update writes whose magnitude falls below TINY becomes
-    0: l2 decays the weights of dead ReLU units toward zero, and subnormal
+    One update expression per kind of entry of grads.updates: a whole
+    array or the SHARED segment is updated in place, indexed rows (P/Q,
+    the deep family's biases) from the values backward read. Every theta
+    the update writes whose magnitude falls below TINY becomes 0: l2
+    decays the weights of dead ReLU units toward zero, and subnormal
     values slow every later product they enter.
     """
-    for name, idx, grad in grads.updates(params):
-        theta, acc = params.get(name), state.acc[name]
-        total = acc[idx] + grad * grad
-        acc[idx] = total
-        new = theta[idx] - learning_rate * grad / (np.sqrt(total) + epsilon)
-        new[np.abs(new) < TINY] = 0.0
-        theta[idx] = new
+    for name, idx, grad, theta in grads.updates(params):
+        acc = state.acc[name]
+        if idx is ...:
+            acc += grad * grad
+            theta -= learning_rate * grad / (np.sqrt(acc) + epsilon)
+            theta[np.abs(theta) < TINY] = 0.0
+        else:
+            total = acc.take(idx, axis=0) + grad * grad
+            acc[idx] = total
+            new = theta - learning_rate * grad / (np.sqrt(total) + epsilon)
+            new[np.abs(new) < TINY] = 0.0
+            params.get(name)[idx] = new
 
 
 def sample_negatives(
@@ -183,9 +190,12 @@ def train(
     n_users = split.train.user_count
     params = init_parameters(model_config, n_items, n_users, train_config.seed, pretrained)
     state = OptimizerState.for_params(params)
+    workspace = Workspace.for_params(params, model_config)
+    pq = workspace.segments[PQ]
     rng = np.random.default_rng(train_config.seed)
     pos_by_user = split.train.items_by_user
     ctx = PredictionContext(0, 0, np.empty(0, dtype=np.int64))
+    l2, lr, eps = train_config.l2, train_config.learning_rate, train_config.adagrad_epsilon
 
     records: list[MetricsRecord] = []
     best_params = params.copy()
@@ -193,22 +203,19 @@ def train(
     best_epoch = 0
 
     for epoch in range(1, train_config.epochs + 1):
-        users, items, labels = epoch_instances(
-            pos_by_user, train_config.neg_ratio, n_items, rng
-        )
-        order = rng.permutation(users.size)
+        instances = epoch_instances(pos_by_user, train_config.neg_ratio, n_items, rng)
+        users, items, labels = (column.tolist() for column in instances)
+        order = rng.permutation(len(users))
         loss_sum = 0.0
         # overflow and NaN are caught below as TrainingDivergedError, so
         # numpy's warnings about them would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
-            for step, idx in enumerate(order):
-                u = int(users[idx])
-                i = int(items[idx])
-                y = float(labels[idx])
+            for step, idx in enumerate(order.tolist()):
+                u, i, y = users[idx], items[idx], labels[idx]
                 # history_for drops the target, so PredictionContext's check is not repeated
                 ctx.user, ctx.target, ctx.history = u, i, history_for(pos_by_user[u], i, y)
                 try:
-                    cache = forward_cache(kind, ctx, params, model_config)
+                    cache = forward_cache(kind, ctx, params, model_config, pq)
                     loss = instance_data_loss(cache.score, y)
                     if not (math.isfinite(cache.score) and math.isfinite(loss)):
                         raise NonFiniteError(f"score {cache.score}, loss {loss}")
@@ -217,13 +224,11 @@ def train(
                         f"epoch {epoch} instance {step} (user {u}, item {i}): {exc}"
                     ) from exc
                 loss_sum += loss
-                grads = backward(cache, y, params, model_config, train_config.l2)
-                adagrad_step(
-                    params, grads, state, train_config.learning_rate, train_config.adagrad_epsilon
-                )
+                grads = backward(cache, y, params, model_config, l2, workspace)
+                adagrad_step(params, grads, state, lr, eps)
         if not params.all_finite():
             raise TrainingDivergedError(f"non-finite parameter after epoch {epoch}")
-        epoch_loss = loss_sum / users.size + train_config.l2 * params.sum_squares()
+        epoch_loss = loss_sum / len(users) + l2 * params.sum_squares()
         val = evaluate_model(
             params,
             model_config,

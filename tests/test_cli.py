@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from flaicf.cli import main
-from flaicf.params import load_checkpoint
+from flaicf.config import ModelConfig, ModelKind
+from flaicf.params import init_parameters, load_checkpoint, save_checkpoint
 
 
 def synth_raw(path: Path, seed: int = 7, users: int = 24, items: int = 30) -> Path:
@@ -255,7 +256,55 @@ def test_export_attention_rejects_fism(prepared, tmp_path, capsys):
     code = main(["export-attention", "--checkpoint", str(out / "model.ckpt"),
                  "--data_dir", str(prepared), "--user", vocab[0],
                  "--targets", items[0], "--out_dir", str(tmp_path / "att")])
-    assert code != 0
+    assert code == 2
+    assert "error: category=usage" in capsys.readouterr().err
+    assert not (tmp_path / "att").exists()
+
+
+def checkpoint_for_vocab(prepared, path, kind, extra_items=0, extra_users=0):
+    """A fresh checkpoint of kind whose item and user counts differ from the split's."""
+    items = len((prepared / "item_vocab.txt").read_text().split()) + extra_items
+    users = len((prepared / "user_vocab.txt").read_text().split()) + extra_users
+    cfg = ModelConfig(model_kind=kind, d=4)
+    save_checkpoint(init_parameters(cfg, items, users, seed=0), cfg, path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "kind,extra_items,extra_users",
+    [(ModelKind.FISM, -3, 0), (ModelKind.FISM, 3, 0), (ModelKind.DEEPICF, 0, -2),
+     (ModelKind.DEEPICF, 0, 2)],
+    ids=["fewer-items", "more-items", "deep-fewer-users", "deep-more-users"],
+)
+def test_evaluate_rejects_a_checkpoint_of_another_vocabulary(
+    prepared, tmp_path, capsys, kind, extra_items, extra_users
+):
+    ckpt = checkpoint_for_vocab(prepared, tmp_path / "m.ckpt", kind, extra_items, extra_users)
+    code = main(["evaluate", "--data_dir", str(prepared), "--checkpoint", str(ckpt),
+                 "--out_dir", str(tmp_path / "eval")])
+    assert code == 4
+    assert "error: category=checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_export_attention_rejects_a_checkpoint_of_another_vocabulary(prepared, tmp_path, capsys):
+    ckpt = checkpoint_for_vocab(prepared, tmp_path / "m.ckpt", ModelKind.FLA_NAIS, extra_items=3)
+    vocab = (prepared / "user_vocab.txt").read_text().split()
+    items = (prepared / "item_vocab.txt").read_text().split()
+    code = main(["export-attention", "--checkpoint", str(ckpt), "--data_dir", str(prepared),
+                 "--user", vocab[0], "--targets", items[0], "--out_dir", str(tmp_path / "att")])
+    assert code == 4
+    assert "error: category=checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "att").exists()
+
+
+def test_pretrain_checkpoint_of_another_vocabulary_is_a_checkpoint_error(prepared, tmp_path, capsys):
+    ckpt = checkpoint_for_vocab(prepared, tmp_path / "fism.ckpt", ModelKind.FISM, extra_items=-3)
+    code = run_train(prepared, tmp_path / "run", [
+        "--d", "4", "--pretrain", "true", "--pretrain_checkpoint", str(ckpt)])
+    assert code == 4
+    assert "error: category=checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "model.ckpt").exists()
 
 
 @pytest.mark.parametrize(

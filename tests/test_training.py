@@ -7,7 +7,8 @@ import pytest
 from scipy import stats
 
 from flaicf.config import Design, ModelConfig, ModelKind, TrainConfig
-from flaicf.gradients import GradientSet, backward
+from flaicf.evaluation import evaluate_model
+from flaicf.gradients import GradientSet, backward, instance_data_loss
 from flaicf.params import init_parameters, params_equal
 from flaicf.training import (
     OptimizerState,
@@ -21,6 +22,7 @@ from flaicf.training import (
 )
 from flaicf.predictors import PredictionContext, forward_cache
 from tests.conftest import random_dataset, random_params
+from tests.test_checkpoint import ALL_CONFIGS
 from flaicf.data import split_per_user
 
 
@@ -320,3 +322,52 @@ def test_segment_update_equals_per_array_update(cfg):
     assert flat.flat().tobytes() == split.flat().tobytes()
     for name, _ in flat.arrays():
         assert state_flat.acc[name].tobytes() == state_split.acc[name].tobytes(), name
+
+
+@pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: f"{c.model_kind}-{c.attention_mode}-{c.design}")
+def test_train_equals_a_loop_of_the_public_steps(cfg):
+    # train() runs its steps on a workspace built once; the plain loop
+    # below builds everything per instance and must give the same bits
+    split = split_per_user(random_dataset(15, n_users=9, n_items=13, min_items=4), seed=3)
+    tc = quick_train_config(epochs=1, l2=1e-3)
+    params, records = train(cfg.model_kind, split, cfg, tc)
+
+    n_items, n_users = split.train.item_count, split.train.user_count
+    ref = init_parameters(cfg, n_items, n_users, tc.seed)
+    state = OptimizerState.for_params(ref)
+    rng = np.random.default_rng(tc.seed)
+    pos_by_user = split.train.items_by_user
+    users, items, labels = epoch_instances(pos_by_user, tc.neg_ratio, n_items, rng)
+    loss_sum = 0.0
+    for idx in rng.permutation(users.size):
+        u, i, y = int(users[idx]), int(items[idx]), float(labels[idx])
+        ctx = PredictionContext(u, i, history_for(pos_by_user[u], i, y))
+        cache = forward_cache(cfg.model_kind, ctx, ref, cfg)
+        loss_sum += instance_data_loss(cache.score, y)
+        grads = backward(cache, y, ref, cfg, tc.l2)
+        adagrad_step(ref, grads, state, tc.learning_rate, tc.adagrad_epsilon)
+    val = evaluate_model(ref, cfg, split, on="valid", n=tc.eval_n)
+
+    assert params.flat().tobytes() == ref.flat().tobytes()
+    [record] = records
+    assert record.loss == loss_sum / users.size + tc.l2 * ref.sum_squares()
+    assert (record.hr, record.ndcg) == (val.hr, val.ndcg)
+
+
+@pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: f"{c.model_kind}-{c.attention_mode}-{c.design}")
+def test_backward_without_a_workspace_never_reuses_memory(cfg):
+    # gradcheck keeps one call's gradients while it makes the next
+    params = init_parameters(cfg, 9, 3, seed=5)
+    params.flat()[:] = np.random.default_rng(5).normal(0.0, 0.5, size=params.flat().size)
+    ctx = PredictionContext(user=1, target=0, history=np.array([2, 5, 7]))
+    cache = forward_cache(cfg.model_kind, ctx, params, cfg)
+    first, second = (backward(cache, label, params, cfg, l2=1e-3) for label in (1.0, 0.0))
+
+    def arrays(grads):
+        return (list(grads.dense.values()) + [grad for _, grad in grads.rows.values()]
+                + [grad for _, _, grad, _ in grads.segments])
+
+    assert arrays(first) and arrays(second)
+    for a in arrays(first):
+        for b in arrays(second):
+            assert not np.shares_memory(a, b)
