@@ -69,11 +69,11 @@ class GradientSet:
     where only a few rows are touched. For a parameter set that lives in
     one buffer, backward also fills segments with the same gradients laid
     out like the buffer's segments (params.PQ, SHARED, BIAS), as (segment,
-    indices, gradient, parameters) entries: one vector over SHARED whose
-    views are dense and the segment itself, then the target row and the
-    history rows as one block of the P/Q table, and the deep family's two
-    bias entries, each with the values the forward pass read there.
-    rows' gradients are views into those blocks.
+    indices, gradient, parameters) entries, the parameters being the
+    values the forward pass read: the SHARED segment itself with one
+    gradient vector whose views are dense, the target row then the history
+    rows as one block of the P/Q table, and the deep family's two bias
+    entries. rows' gradients are views into those blocks.
     """
 
     dense: dict[str, np.ndarray]
