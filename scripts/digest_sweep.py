@@ -1,16 +1,21 @@
 """Train the benchmark's model sweep on a prepared split and print artifact digests.
 
     python3 scripts/digest_sweep.py --data_dir D --out_dir O
+    python3 scripts/digest_sweep.py --workload short|long --out_dir O
 
 Runs, through flaicf.cli.main, FISM for 3 epochs, then NAIS (PROD and
 CONCAT), FLA_NAIS and FLA_DICF (Designs 1 and 2) and DEEPICF for 1 epoch
 each from the FISM checkpoint, with the flags bench/run.py trains with,
-and `evaluate --split test` of every model. It prints one
-`sha256  path` line per file written, the path relative to O. The
-data_dir, out_dir and pretrain_checkpoint values in config.used are
-replaced by placeholders before hashing, so two checkouts that train the
-same models print the same lines; diff the output of two checkouts to
-check that a change leaves every artifact bitwise equal.
+and `evaluate --split test` of every model. With --workload, it first
+writes that benchmark workload's raw file (bench/generate.py, seed 1)
+under O/raw and runs `flaicf prepare` on it into O/prep, with the flags
+bench/run.py prepares with, and trains on that split; the digests then
+cover the split files too. It prints one `sha256  path` line per file
+written, the path relative to O. The data_dir, out_dir and
+pretrain_checkpoint values in config.used are replaced by placeholders
+before hashing, so two checkouts that train the same models print the
+same lines; diff the output of two checkouts to check that a change
+leaves every artifact bitwise equal.
 """
 
 import argparse
@@ -20,7 +25,9 @@ import os
 import sys
 from pathlib import Path
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
 
 from flaicf import cli
 
@@ -60,12 +67,31 @@ def digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def prepare_workload(workload: str, out: Path) -> Path:
+    """The workload's raw file under out/raw, prepared into out/prep as bench/run.py does."""
+    from generate import K_CORE, generate
+    from run import PROGRAM_SEED, WORKLOADS
+
+    shape, ratios = WORKLOADS[workload]
+    raw = generate(shape, 1, out / "raw").raw_path
+    prep = out / "prep"
+    run(["prepare", "--raw", str(raw), "--format", "MOVIELENS_DAT", "--k_user", str(K_CORE),
+         "--k_item", str(K_CORE), "--ratios", ratios, "--seed", PROGRAM_SEED,
+         "--out_dir", str(prep)])
+    return prep
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    ap.add_argument("--data_dir", required=True, help="prepared split directory")
+    source = ap.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data_dir", help="prepared split directory")
+    source.add_argument("--workload", choices=("short", "long"),
+                        help="prepare the split of this benchmark workload (seed 1) first")
     ap.add_argument("--out_dir", required=True, help="directory for every run's output")
     args = ap.parse_args()
     out = Path(args.out_dir)
+    if args.workload:
+        args.data_dir = str(prepare_workload(args.workload, out))
     fism_ckpt = out / "FISM" / "model.ckpt"
     for label, flags in VARIANTS:
         run_dir = out / label

@@ -63,13 +63,13 @@ class SmoothedSoftmax:
 
 def feature_logits(p: np.ndarray, q: np.ndarray, W: np.ndarray, b: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Unnormalized per-feature attention logits for one (target, history) pair."""
-    params = ParameterSet(n_users=0, W=W, b=b, H=H)
+    params = ParameterSet.from_arrays(0, W=W, b=b, H=H)
     return _block(ModelKind.FLA_NAIS, Design.DESIGN2, AttentionMode.PROD, p, [q], params, 1.0).a_hat[0]
 
 
 def item_logit(p: np.ndarray, q: np.ndarray, W: np.ndarray, b: np.ndarray, h: np.ndarray) -> float:
     """Scalar attention logit for one (target, history) pair."""
-    params = ParameterSet(n_users=0, W=W, b=b, h=h)
+    params = ParameterSet.from_arrays(0, W=W, b=b, h=h)
     block = _block(ModelKind.NAIS, Design.DESIGN2, AttentionMode.PROD, p, [q], params, 1.0)
     return float(block.item_logits[0])
 

@@ -20,9 +20,7 @@ from pathlib import Path
 
 from .config import (
     DEEP_KINDS,
-    AttentionMode,
     ConfigError,
-    Design,
     ModelConfig,
     ModelKind,
     TrainConfig,
@@ -104,18 +102,15 @@ class RunConfig:
             raise AttributeError(key)
 
     def model_config(self) -> ModelConfig:
-        layers = None
-        if self.values["deep_layers"]:
-            layers = tuple(int(x) for x in self.values["deep_layers"].split(","))
         return ModelConfig(
-            model_kind=ModelKind(self.values["model"]),
-            design=Design(self.values["design"]),
-            attention_mode=AttentionMode(self.values["attention_mode"]),
+            model_kind=self.values["model"],
+            design=self.values["design"],
+            attention_mode=self.values["attention_mode"],
             d=self.values["d"],
             d_prime=self.values["d_prime"] or None,
             beta=self.values["beta"],
             alpha=self.values["alpha"],
-            deep_layers=layers,
+            deep_layers=self.numbers("deep_layers", int) if self.values["deep_layers"] else None,
         )
 
     def train_config(self) -> TrainConfig:
@@ -138,6 +133,14 @@ class RunConfig:
         if value in ("false", "0", "no", ""):
             return False
         raise CliError(f"{key} must be true or false, got {self.values[key]!r}")
+
+    def numbers(self, key: str, typ: type) -> tuple:
+        """A comma list value as a tuple of typ."""
+        text = self.values[key]
+        try:
+            return tuple(typ(x) for x in text.split(","))
+        except ValueError:
+            raise CliError(f"key {key} expects a comma list of {typ.__name__}, got {text!r}")
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -231,7 +234,7 @@ def cmd_prepare(config: RunConfig, suffix: str = "") -> dict:
     dataset = parse_interactions(config.values["raw"], config.values["format"])
     raw_stats = dataset_stats(dataset)
     dataset = k_core_filter(dataset, config.values["k_user"], config.values["k_item"])
-    ratios = tuple(float(x) for x in config.values["ratios"].split(","))
+    ratios = config.numbers("ratios", float)
     split = split_per_user(dataset, ratios, config.values["seed"])
     save_split(split, out)
     stats = dataset_stats(dataset)
@@ -325,6 +328,8 @@ def cmd_evaluate(config: RunConfig, suffix: str = "") -> dict:
     if on not in ("valid", "test"):
         raise CliError(f"split must be valid or test, got {on!r}")
     n = config.values["eval_n"]
+    if n < 1:
+        raise ConfigError(f"eval_n must be >= 1, got {n}")
     if config.values["baseline"]:
         scorer = baseline_scores(
             config.values["baseline"],
@@ -383,14 +388,14 @@ def cmd_export_attention(config: RunConfig, suffix: str = "") -> dict:
     params, model_config = _load_checkpoint_for(config.values["checkpoint"], split)
     if model_config.model_kind is ModelKind.FISM:
         raise CliError("a FISM checkpoint has no attention weights to export")
-    out.mkdir(parents=True, exist_ok=True)
     user_raw = config.values["user"]
     try:
         user = split.train.user_ids.index(user_raw)
     except ValueError:
         raise CliError(f"unknown user id {user_raw!r}")
     item_index = {raw: i for i, raw in enumerate(split.train.item_ids)}
-    written = []
+    # every target is resolved and its weights computed before any file is written
+    exports = []
     for target_raw in config.values["targets"].split(","):
         target_raw = target_raw.strip()
         if target_raw not in item_index:
@@ -401,9 +406,12 @@ def cmd_export_attention(config: RunConfig, suffix: str = "") -> dict:
         if history.size == 0:
             raise CliError(f"user {user_raw!r} has an empty history for item {target_raw!r}")
         ctx = PredictionContext(user=user, target=target, history=history)
-        att = attention_for(ctx, params, model_config)
         hist_raw = [split.train.item_ids[i] for i in history]
         stem = f"user{_sanitize(user_raw)}_item{_sanitize(target_raw)}"
+        exports.append((stem, hist_raw, attention_for(ctx, params, model_config)))
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    for stem, hist_raw, att in exports:
         if att.item_weights is not None:
             path = out / f"attention_item_{stem}.csv"
             with atomic_open(path) as fh:

@@ -66,9 +66,12 @@ class ModelConfig:
     deep_layers: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "model_kind", ModelKind(self.model_kind))
-        object.__setattr__(self, "design", Design(self.design))
-        object.__setattr__(self, "attention_mode", AttentionMode(self.attention_mode))
+        enums = (("model_kind", ModelKind), ("design", Design), ("attention_mode", AttentionMode))
+        for name, enum in enums:
+            try:
+                object.__setattr__(self, name, enum(getattr(self, name)))
+            except ValueError as exc:
+                raise ConfigError(f"{exc}; expected one of {', '.join(enum)}") from None
         if self.d < 1:
             raise ConfigError(f"d must be >= 1, got {self.d}")
         if self.d_prime is None:

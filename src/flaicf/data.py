@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError
+
 
 class DataFormatError(ValueError):
     """A raw interaction file line does not match the declared format."""
@@ -137,7 +139,7 @@ def k_core_filter(dataset: InteractionDataset, k_user: int, k_item: int) -> Inte
     interactions until both constraints hold, then re-index densely
     preserving the original id order."""
     if k_user < 1 or k_item < 1:
-        raise ValueError(f"core sizes must be >= 1, got k_user={k_user}, k_item={k_item}")
+        raise ConfigError(f"core sizes must be >= 1, got k_user={k_user}, k_item={k_item}")
     pairs = dataset.pairs()
     keep = np.ones(pairs.shape[0], dtype=bool)
     while True:
@@ -201,7 +203,7 @@ def split_per_user(
     least one training item.
     """
     if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must be three nonnegative values summing to 1, got {ratios}")
+        raise ConfigError(f"ratios must be three nonnegative values summing to 1, got {ratios}")
     rng = np.random.default_rng(seed)
     tr, va, te = [], [], []
     for items in dataset.items_by_user:

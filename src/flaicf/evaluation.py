@@ -18,7 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .config import DEEP_KINDS, ModelConfig, ModelKind
+from .config import DEEP_KINDS, ConfigError, ModelConfig, ModelKind
 from .data import SplitDataset
 from .params import ParameterSet
 from .predictors import forward_block
@@ -213,7 +213,7 @@ def baseline_scores(kind: str, split: SplitDataset, seed: int = 0, knn_k: int | 
     """Scorer for one of the RANDOM, POP or ITEMKNN baselines."""
     kind = kind.upper()
     if kind not in BASELINES:
-        raise ValueError(f"unknown baseline {kind!r}; expected one of {BASELINES}")
+        raise ConfigError(f"unknown baseline {kind!r}; expected one of {BASELINES}")
     train = split.train
     n_items = train.item_count
 

@@ -36,7 +36,7 @@ from .config import (
     ModelConfig,
     ModelKind,
 )
-from .params import BIAS, PQ, SHARED, ParameterSet, array_shapes, shared_layout
+from .params import BIAS, PQ, SHARED, ParameterSet, array_shapes, buffer_views
 from .predictors import ForwardCache, PredictionContext, forward_cache, predict
 
 SIGMOID_CLAMP = 1e-12
@@ -62,63 +62,55 @@ def score_grad(score: float, label: float) -> float:
 
 @dataclass
 class GradientSet:
-    """Gradients keyed by array name.
+    """One instance's gradients: the update entries, and the same by array name.
 
-    dense holds full-shape gradients for shared arrays; rows holds
-    (indices, row gradients) pairs for embedding tables and bias vectors
-    where only a few rows are touched. For a parameter set that lives in
-    one buffer, backward also fills segments with the same gradients laid
-    out like the buffer's segments (params.PQ, SHARED, BIAS), as (segment,
-    indices, gradient, parameters) entries, the parameters being the
-    values the forward pass read: the SHARED segment itself with one
-    gradient vector whose views are dense, the target row then the history
-    rows as one block of the P/Q table, and the deep family's two bias
-    entries. rows' gradients are views into those blocks.
+    segments holds the (segment, indices, gradient, parameters) entries
+    adagrad_step applies, the parameters being the values the forward pass
+    read: the SHARED segment (params module) with one gradient vector, the
+    target row then the history rows as one block of the PQ table, and the
+    deep family's two BIAS entries. An entry may name one array instead
+    (index ... for all of it). dense (shared arrays) and rows ((indices,
+    row gradients) of P, Q and the biases) hold the same gradients by
+    array name; gradcheck and tests read them. A set with gradients but
+    no update entries raises ValueError.
     """
 
     dense: dict[str, np.ndarray]
     rows: dict[str, tuple[np.ndarray, np.ndarray]]
-    segments: list[tuple[str, object, np.ndarray, np.ndarray]] | None = None
+    segments: list[tuple[str, object, np.ndarray, np.ndarray]]
+
+    def __post_init__(self) -> None:
+        self.check_updates()
+
+    def check_updates(self) -> None:
+        """Raise ValueError when the set holds gradients but no update entries."""
+        if not self.segments and (self.dense or self.rows):
+            raise ValueError("gradient set has gradients but no update entries")
 
     def items(self):
         yield from self.dense.items()
         yield from self.rows.items()
-
-    def updates(self, params: ParameterSet) -> list[tuple[str, object, np.ndarray, np.ndarray]]:
-        """(name, index, gradient, parameters) entries naming arrays or segments of params.
-
-        The segments when backward filled them, otherwise one entry per
-        array (index ... for a dense gradient, whose parameters are the
-        whole array).
-        """
-        if self.segments is not None:
-            return self.segments
-        return [(name, ..., grad, params.get(name)) for name, grad in self.dense.items()] + [
-            (name, idx, grad, params.get(name)[idx]) for name, (idx, grad) in self.rows.items()
-        ]
 
 
 @dataclass
 class Workspace:
     """What backward reuses from one instance to the next.
 
-    The parameter set's segments (views into its buffer when backed,
-    laid-out copies otherwise) and a SHARED gradient vector with its
-    per-array views. train builds one per run; backward builds its own
-    when given none, so its results never share memory with earlier ones.
+    A gradient vector laid out like the parameters' SHARED segment, and
+    its per-array views. train builds one per run; backward builds its
+    own when given none, so its results never share memory with earlier
+    ones.
     """
 
-    segments: dict[str, np.ndarray]
-    backed: bool
     shared: np.ndarray
     dense: dict[str, np.ndarray]
 
     @classmethod
-    def for_params(cls, params: ParameterSet, config: ModelConfig) -> "Workspace":
-        layout, size = shared_layout(config)
-        shared = np.empty(size)
-        dense = {name: shared[start:stop].reshape(shape) for name, start, stop, shape in layout}
-        return cls(params.segments(), params.buffer() is not None, shared, dense)
+    def for_params(cls, params: ParameterSet) -> "Workspace":
+        views = buffer_views(np.empty_like(params.flat()), params.shapes())
+        rows = ("P", "Q", "b_user", "b_item")
+        dense = {name: views[name] for name in params.shapes() if name not in rows}
+        return cls(views[SHARED], dense)
 
 
 def _smoothed_vjp(parts: SmoothedSoftmax, dw: np.ndarray, beta: float) -> np.ndarray:
@@ -162,15 +154,14 @@ def backward(
     ctx = cache.ctx
     g = score_grad(cache.score, label)
     decay = 2.0 * l2
-    ws = Workspace.for_params(params, config) if workspace is None else workspace
-    segments = ws.segments
+    ws = Workspace.for_params(params) if workspace is None else workspace
     rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     entries: list = []
-    grads = GradientSet({}, rows, entries if ws.backed else None)
+    grads = GradientSet({}, rows, entries)
 
     if kind in DEEP_KINDS:
         idx = np.array([ctx.user, params.n_users + ctx.target])
-        bias = segments[BIAS].take(idx)
+        bias = params.get(BIAS).take(idx)
         dbias = np.array((g, g))
         if l2 != 0.0:
             dbias += decay * bias
@@ -199,7 +190,7 @@ def backward(
 
     dense, flat = ws.dense, ws.shared
     grads.dense = dense
-    entries.append((SHARED, ..., flat, segments[SHARED]))
+    entries.append((SHARED, ..., flat, params.get(SHARED)))
 
     concat = kind is ModelKind.NAIS and config.attention_mode is AttentionMode.CONCAT
     beta = config.beta
@@ -263,7 +254,7 @@ def backward(
         dQh += dX * p[None, :]
 
     if l2 != 0.0:
-        flat += decay * segments[SHARED]
+        flat += decay * params.get(SHARED)
         dpq += decay * pq
     return grads
 
@@ -308,10 +299,14 @@ def finite_difference_grads(
     l2: float = 0.0,
     step: float = 1e-4,
 ) -> GradientSet:
-    """Central finite differences of instance_objective, entry by entry."""
+    """Central finite differences of instance_objective, entry by entry.
+
+    The update entries name params' arrays, so adagrad_step can apply them.
+    """
     work = params.copy()
     dense: dict[str, np.ndarray] = {}
     rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    entries: list = []
 
     def diff_at(arr: np.ndarray, pos: tuple) -> float:
         orig = arr[pos]
@@ -329,6 +324,7 @@ def finite_difference_grads(
             for pos in np.ndindex(arr.shape):
                 grad[pos] = diff_at(arr, pos)
             dense[name] = grad
+            entries.append((name, ..., grad, params.get(name)))
         else:
             if arr.ndim == 1:
                 grad = np.array([diff_at(arr, (int(r),)) for r in idx])
@@ -337,8 +333,10 @@ def finite_difference_grads(
                 for k, r in enumerate(idx):
                     for c in range(arr.shape[1]):
                         grad[k, c] = diff_at(arr, (int(r), c))
-            rows[name] = (np.asarray(idx), grad)
-    return GradientSet(dense, rows)
+            idx = np.asarray(idx)
+            rows[name] = (idx, grad)
+            entries.append((name, idx, grad, params.get(name)[idx]))
+    return GradientSet(dense, rows, entries)
 
 
 def relative_errors(
@@ -390,7 +388,7 @@ def _random_check_params(config: ModelConfig, item_count: int, user_count: int, 
     # gradients sit near the finite difference noise floor and no correct
     # implementation could meet the tolerance.
     shapes = array_shapes(config, item_count, user_count)
-    params = ParameterSet.from_buffer(np.empty(sum(math.prod(s) for s in shapes.values())), shapes, user_count)
+    params = ParameterSet(np.empty(sum(math.prod(s) for s in shapes.values())), shapes, user_count)
     for name, shape in shapes.items():
         scale = 0.3 if name.startswith(("b", "deep_b")) else 0.5
         params.get(name)[...] = rng.normal(0.0, scale, size=shape)

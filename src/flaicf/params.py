@@ -2,13 +2,13 @@
 
 Every array of a model lives in one float64 buffer, in canonical order:
 P, Q, W, b, H, h, deep_W.0, deep_b.0, deep_W.1, deep_b.1, ..., V,
-b_user, b_item, restricted to the arrays the model kind uses. The
-ParameterSet fields are views into it. In that order the buffer falls
-into three segments, which the optimizer updates with one expression
-each: PQ, the (2n x d) row table of P then Q; SHARED, every array from W
-to V as one vector; and BIAS, b_user then b_item (deep kinds only). A
-set built or rebound array by array (tests do) works the same, without
-the buffer.
+b_user, b_item, restricted to the arrays the model kind uses. A
+ParameterSet is that buffer: its arrays are views into it, set once when
+the set is built, and are assigned into, never rebound. In that order
+the buffer falls into three segments, which the optimizer updates with
+one expression each: PQ, the (2n x d) row table of P then Q; SHARED,
+every array from W to V as one vector; and BIAS, b_user then b_item
+(deep kinds only).
 
 Checkpoint layout (external format, version 1): a single text header line
 
@@ -22,9 +22,6 @@ raw bytes of every array in canonical order, each row-major.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -95,18 +92,6 @@ SHARED = "shared"
 BIAS = "b_user+b_item"
 
 
-@lru_cache(maxsize=None)
-def shared_layout(config: ModelConfig) -> tuple[tuple[tuple[str, int, int, tuple[int, ...]], ...], int]:
-    """(name, start, stop, shape) of each array in the SHARED segment, and its size."""
-    layout, offset = [], 0
-    for name, shape in array_shapes(config, 1, 1).items():
-        if name not in ("P", "Q", "b_user", "b_item"):
-            size = math.prod(shape)
-            layout.append((name, offset, offset + size, shape))
-            offset += size
-    return tuple(layout), offset
-
-
 def buffer_views(buffer: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
     """Views into buffer: every array of shapes (canonical order), then the segments."""
     views, offset = {}, 0
@@ -128,67 +113,46 @@ def _is_bias(name: str) -> bool:
     return name == "b" or name.startswith("deep_b") or name in ("b_user", "b_item")
 
 
-@dataclass
 class ParameterSet:
-    """All trainable arrays of one model, plus the user count for bookkeeping."""
+    """All trainable arrays of one model, as views into one buffer.
 
-    n_users: int
-    P: np.ndarray | None = None
-    Q: np.ndarray | None = None
-    W: np.ndarray | None = None
-    b: np.ndarray | None = None
-    H: np.ndarray | None = None
-    h: np.ndarray | None = None
-    deep_W: list[np.ndarray] = field(default_factory=list)
-    deep_b: list[np.ndarray] = field(default_factory=list)
-    V: np.ndarray | None = None
-    b_user: np.ndarray | None = None
-    b_item: np.ndarray | None = None
-    # the buffer, its views as built, and its segments (from_buffer)
-    _buffer: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _backing: tuple = field(default=(), init=False, repr=False, compare=False)
-    _segments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    shapes names the arrays in canonical order. The arrays, and n_users,
+    are attributes set once when the set is built; deep_W and deep_b are
+    tuples, one entry per tower layer. Rebinding any of them raises
+    AttributeError: write into the arrays instead (params.P[...] = x).
+    """
+
+    def __init__(self, buffer: np.ndarray, shapes: dict[str, tuple[int, ...]], n_users: int):
+        views = buffer_views(buffer, shapes)
+        self.__dict__.update(
+            {name: views.get(name) for name in ("P", "Q", "W", "b", "H", "h", "V", "b_user", "b_item")},
+            deep_W=tuple(views[name] for name in shapes if name.startswith("deep_W.")),
+            deep_b=tuple(views[name] for name in shapes if name.startswith("deep_b.")),
+            n_users=n_users,
+            _buffer=buffer,
+            _shapes=dict(shapes),
+            _views=views,
+        )
 
     @classmethod
-    def from_buffer(cls, buffer: np.ndarray, shapes: dict[str, tuple[int, ...]], n_users: int) -> "ParameterSet":
-        """A set whose arrays, canonically ordered in shapes, are views into buffer."""
-        views = buffer_views(buffer, shapes)
-        params = cls(
-            n_users=n_users,
-            deep_W=[views[name] for name in shapes if name.startswith("deep_W.")],
-            deep_b=[views[name] for name in shapes if name.startswith("deep_b.")],
-            **{name: views[name] for name in shapes if not name.startswith("deep_")},
-        )
-        params._buffer = buffer
-        params._backing = params._current()
-        params._segments = {name: views[name] for name in (PQ, SHARED, BIAS) if name in views}
-        return params
+    def from_arrays(cls, n_users: int, **arrays: np.ndarray) -> "ParameterSet":
+        """A set holding copies of the named arrays, given in canonical order, in a fresh buffer."""
+        buffer = np.concatenate([np.ravel(arr) for arr in arrays.values()], dtype=float)
+        return cls(buffer, {name: np.shape(arr) for name, arr in arrays.items()}, n_users)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot rebind ParameterSet.{name}; assign into its arrays instead")
 
     def __reduce__(self):
         # a pickled view carries its own copy, so send the buffer once
-        return (ParameterSet.from_buffer, (self.flat(), self.shapes(), self.n_users))
-
-    def _current(self) -> tuple:
-        return (self.P, self.Q, self.W, self.b, self.H, self.h, *self.deep_W, *self.deep_b,
-                self.V, self.b_user, self.b_item)
-
-    def buffer(self) -> np.ndarray | None:
-        """The buffer every array is a view of; None when built or rebound array by array."""
-        current = self._current()
-        if (self._buffer is None or len(current) != len(self._backing)
-                or not all(map(operator.is_, current, self._backing))):
-            return None
-        return self._buffer
+        return (ParameterSet, (self._buffer, self._shapes, self.n_users))
 
     def flat(self) -> np.ndarray:
-        """Every array in canonical order as one vector: the buffer, or a copy without one."""
-        buffer = self.buffer()
-        if buffer is None:
-            return np.concatenate([arr.ravel() for _, arr in self.arrays()])
-        return buffer
+        """The buffer: every array in canonical order as one vector."""
+        return self._buffer
 
     def shapes(self) -> dict[str, tuple[int, ...]]:
-        return {name: arr.shape for name, arr in self.arrays()}
+        return dict(self._shapes)
 
     @property
     def n_items(self) -> int:
@@ -196,39 +160,15 @@ class ParameterSet:
 
     def arrays(self):
         """Yield (name, array) pairs in canonical checkpoint order."""
-        for name in ("P", "Q", "W", "b", "H", "h"):
-            arr = getattr(self, name)
-            if arr is not None:
-                yield name, arr
-        for l, (wl, bl) in enumerate(zip(self.deep_W, self.deep_b)):
-            yield f"deep_W.{l}", wl
-            yield f"deep_b.{l}", bl
-        for name in ("V", "b_user", "b_item"):
-            arr = getattr(self, name)
-            if arr is not None:
-                yield name, arr
+        for name in self._shapes:
+            yield name, self._views[name]
 
     def get(self, name: str) -> np.ndarray:
-        """An array by name, or a segment (PQ, SHARED, BIAS) of a buffer-backed set."""
-        if name in self._segments:
-            return self._segments[name]
-        if name.startswith("deep_W."):
-            return self.deep_W[int(name.split(".")[1])]
-        if name.startswith("deep_b."):
-            return self.deep_b[int(name.split(".")[1])]
-        arr = getattr(self, name)
-        if arr is None:
-            raise KeyError(name)
-        return arr
-
-    def segments(self) -> dict[str, np.ndarray]:
-        """PQ, SHARED and BIAS: views into the buffer, or laid-out copies without one."""
-        if self.buffer() is None:
-            return buffer_views(self.flat(), self.shapes())
-        return self._segments
+        """An array by name, or a segment of the buffer (PQ, SHARED, BIAS)."""
+        return self._views[name]
 
     def copy(self) -> "ParameterSet":
-        return ParameterSet.from_buffer(self.flat().copy(), self.shapes(), self.n_users)
+        return ParameterSet(self._buffer.copy(), self._shapes, self.n_users)
 
     def sum_squares(self) -> float:
         # per array, so the reported loss keeps its summation order
@@ -278,7 +218,7 @@ def init_parameters(
             )
         views["P"][...] = p
         views["Q"][...] = q
-    return ParameterSet.from_buffer(buffer, shapes, user_count)
+    return ParameterSet(buffer, shapes, user_count)
 
 
 def _format_header(config: ModelConfig, item_count: int, user_count: int) -> str:
@@ -356,4 +296,4 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
             f"body holds {len(body)} bytes, header shapes require {expected_bytes}"
         )
     buffer = np.frombuffer(body, dtype="<f8").astype(np.float64)
-    return ParameterSet.from_buffer(buffer, shapes, user_count), config
+    return ParameterSet(buffer, shapes, user_count), config

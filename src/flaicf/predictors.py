@@ -194,7 +194,7 @@ def forward_cache(
     if hist.size == 0:
         return ForwardCache(config, ctx, score=bias, empty=True)
     if pq is None:
-        pq = params.segments()[PQ]
+        pq = params.get(PQ)
     idx = np.empty(hist.size + 1, dtype=np.int64)
     idx[0] = ctx.target
     np.add(hist, pq.shape[0] // 2, out=idx[1:])

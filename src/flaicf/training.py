@@ -54,21 +54,17 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class OptimizerState:
-    """Adagrad squared-gradient accumulators, one per parameter array.
+    """Adagrad squared-gradient accumulators, in one buffer laid out like the parameters'.
 
-    For a buffer-backed parameter set they are views into one buffer laid
-    out like it, and acc also holds that buffer's segments (PQ, SHARED,
-    BIAS) under their names.
+    acc holds its views by name: one per parameter array, and the
+    buffer's segments (PQ, SHARED, BIAS).
     """
 
     acc: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def for_params(cls, params: ParameterSet) -> "OptimizerState":
-        buffer = params.buffer()
-        if buffer is None:
-            return cls(acc={name: np.zeros_like(arr) for name, arr in params.arrays()})
-        return cls(acc=buffer_views(np.zeros_like(buffer), params.shapes()))
+        return cls(acc=buffer_views(np.zeros_like(params.flat()), params.shapes()))
 
 
 def log_loss(scores, labels, l2: float = 0.0, params: ParameterSet | None = None) -> float:
@@ -98,14 +94,16 @@ def adagrad_step(
 ) -> None:
     """In-place update: acc += g^2; theta -= lr * g / (sqrt(acc) + eps).
 
-    One update expression per kind of entry of grads.updates: a whole
-    array or the SHARED segment is updated in place, indexed rows (P/Q,
-    the deep family's biases) from the values backward read. Every theta
-    the update writes whose magnitude falls below TINY becomes 0: l2
-    decays the weights of dead ReLU units toward zero, and subnormal
-    values slow every later product they enter.
+    One update expression per entry of grads.segments: the SHARED segment
+    (or a whole array) is updated in place, indexed rows (P/Q, the deep
+    family's biases) from the values backward read. Every theta the update
+    writes whose magnitude falls below TINY becomes 0: l2 decays the
+    weights of dead ReLU units toward zero, and subnormal values slow
+    every later product they enter. A set with gradients but no update
+    entries raises ValueError.
     """
-    for name, idx, grad, theta in grads.updates(params):
+    grads.check_updates()
+    for name, idx, grad, theta in grads.segments:
         acc = state.acc[name]
         if idx is ...:
             acc += grad * grad
@@ -190,8 +188,8 @@ def train(
     n_users = split.train.user_count
     params = init_parameters(model_config, n_items, n_users, train_config.seed, pretrained)
     state = OptimizerState.for_params(params)
-    workspace = Workspace.for_params(params, model_config)
-    pq = workspace.segments[PQ]
+    workspace = Workspace.for_params(params)
+    pq = params.get(PQ)
     rng = np.random.default_rng(train_config.seed)
     pos_by_user = split.train.items_by_user
     ctx = PredictionContext(0, 0, np.empty(0, dtype=np.int64))

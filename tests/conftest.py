@@ -38,13 +38,7 @@ def random_params(config: ModelConfig, item_count: int, user_count: int,
     rng = np.random.default_rng(seed)
     params = init_parameters(config, item_count, user_count, seed=seed)
     for name, shape in array_shapes(config, item_count, user_count).items():
-        arr = rng.normal(0.0, scale, size=shape)
-        parts = params
-        if "." in name:
-            stem, idx = name.split(".")
-            getattr(parts, stem)[int(idx)][...] = arr
-        else:
-            setattr(parts, name, arr)
+        params.get(name)[...] = rng.normal(0.0, scale, size=shape)
     return params
 
 

@@ -298,6 +298,45 @@ def test_export_attention_rejects_a_checkpoint_of_another_vocabulary(prepared, t
     assert not (tmp_path / "att").exists()
 
 
+def test_export_attention_checks_every_target_before_writing(prepared, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert run_train(prepared, run_dir) == 0
+    vocab = (prepared / "user_vocab.txt").read_text().split()
+    items = (prepared / "item_vocab.txt").read_text().split()
+    capsys.readouterr()
+    code = main(["export-attention", "--checkpoint", str(run_dir / "model.ckpt"),
+                 "--data_dir", str(prepared), "--user", vocab[0],
+                 "--targets", f"{items[0]},no-such-item", "--out_dir", str(tmp_path / "att")])
+    assert code == 2
+    assert "error: category=usage unknown item id 'no-such-item'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("att/*.csv"))
+
+
+MALFORMED_VALUES = {
+    "train-model": ["train", "--model", "FOO"],
+    "train-design": ["train", "--design", "D3"],
+    "train-attention_mode": ["train", "--attention_mode", "SUM"],
+    "gradcheck-model": ["gradcheck", "--model", "FOO"],
+    "train-deep_layers": ["train", "--model", "DEEPICF", "--deep_layers", "a,b"],
+    "evaluate-baseline": ["evaluate", "--baseline", "FOO"],
+    "evaluate-eval_n": ["evaluate", "--baseline", "POP", "--eval_n", "0"],
+    "prepare-k_user": ["prepare", "--k_user", "0"],
+    "prepare-ratios-sum": ["prepare", "--ratios", "0.5,0.5"],
+    "prepare-ratios-text": ["prepare", "--ratios", "a,b,c"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED_VALUES.values(), ids=MALFORMED_VALUES.keys())
+def test_malformed_values_fail_under_a_named_category(prepared, tmp_path, capsys, argv):
+    inputs = {"prepare": ["--raw", str(tmp_path / "raw.dat")], "gradcheck": []}
+    out = tmp_path / "out"
+    capsys.readouterr()
+    argv = [*argv, *inputs.get(argv[0], ["--data_dir", str(prepared)]), "--out_dir", str(out)]
+    assert main(argv) == 2
+    assert re.match(r"error: category=(usage|config) ", capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_pretrain_checkpoint_of_another_vocabulary_is_a_checkpoint_error(prepared, tmp_path, capsys):
     ckpt = checkpoint_for_vocab(prepared, tmp_path / "fism.ckpt", ModelKind.FISM, extra_items=-3)
     code = run_train(prepared, tmp_path / "run", [

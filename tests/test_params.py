@@ -121,3 +121,14 @@ def test_sum_squares_and_finite():
     assert params.all_finite()
     params.W[0, 0] = np.nan
     assert not params.all_finite()
+
+
+@pytest.mark.parametrize("name", ["P", "V", "deep_W"])
+def test_rebinding_an_array_raises(name):
+    # every array is a view into the set's one buffer; a rebound array
+    # would leave the buffer, the optimizer and checkpoints behind
+    cfg = ModelConfig(model_kind=ModelKind.DEEPICF, d=4, deep_layers=(3,))
+    params = init_parameters(cfg, 5, 2, seed=0)
+    with pytest.raises(AttributeError):
+        setattr(params, name, getattr(params, name))
+    assert isinstance(params.deep_W, tuple) and isinstance(params.deep_b, tuple)

@@ -147,11 +147,11 @@ def test_predict_fla_vs_naive_design2():
 def test_deepicf_identity_layer_sums_pool():
     cfg = ModelConfig(model_kind=ModelKind.DEEPICF, d=3, d_prime=3, deep_layers=(3,))
     params = random_params(cfg, 6, 2, seed=10)
-    params.P = np.abs(params.P) + 0.1  # keep e_ui nonnegative through ReLU
-    params.Q = np.abs(params.Q) + 0.1
-    params.deep_W[0] = np.eye(3)
+    params.P[...] = np.abs(params.P) + 0.1  # keep e_ui nonnegative through ReLU
+    params.Q[...] = np.abs(params.Q) + 0.1
+    params.deep_W[0][...] = np.eye(3)
     params.deep_b[0][:] = 0.0
-    params.V = np.ones(3)
+    params.V[...] = 1.0
     params.b_user[:] = 0.0
     params.b_item[:] = 0.0
     ctx = ctx_for(4)

@@ -67,14 +67,14 @@ def one_param_setup(value: float):
     return params, state
 
 
-def grad_of(value: float) -> GradientSet:
-    return GradientSet(dense={"P": np.array([[value]])}, rows={})
+def grad_of(params, value: float) -> GradientSet:
+    return GradientSet({}, {}, [("P", ..., np.array([[value]]), params.P)])
 
 
 def test_adagrad_first_step_normalizes_to_lr():
     # g=3, lr=0.1, eps=0: acc=9, update = 0.1*3/3 = 0.1
     params, state = one_param_setup(1.0)
-    adagrad_step(params, grad_of(3.0), state, learning_rate=0.1, epsilon=0.0)
+    adagrad_step(params, grad_of(params, 3.0), state, learning_rate=0.1, epsilon=0.0)
     assert params.P[0, 0] == pytest.approx(0.9, rel=1e-12)
     assert state.acc["P"][0, 0] == pytest.approx(9.0)
 
@@ -82,9 +82,9 @@ def test_adagrad_first_step_normalizes_to_lr():
 def test_adagrad_two_unit_steps():
     # g=1 twice, lr=1, eps=0: steps of 1 then 1/sqrt(2)
     params, state = one_param_setup(0.0)
-    adagrad_step(params, grad_of(1.0), state, learning_rate=1.0, epsilon=0.0)
+    adagrad_step(params, grad_of(params, 1.0), state, learning_rate=1.0, epsilon=0.0)
     assert params.P[0, 0] == pytest.approx(-1.0)
-    adagrad_step(params, grad_of(1.0), state, learning_rate=1.0, epsilon=0.0)
+    adagrad_step(params, grad_of(params, 1.0), state, learning_rate=1.0, epsilon=0.0)
     assert params.P[0, 0] == pytest.approx(-1.0 - 1.0 / math.sqrt(2.0), rel=1e-12)
 
 
@@ -95,10 +95,11 @@ def test_adagrad_accumulator_never_decreases():
     rng = np.random.default_rng(1)
     prev = {k: v.copy() for k, v in state.acc.items()}
     for _ in range(20):
-        grads = GradientSet(
-            dense={"W": rng.normal(size=params.W.shape), "h": rng.normal(size=params.h.shape)},
-            rows={"P": (np.array([0]), rng.normal(size=(1, 4)))},
-        )
+        grads = GradientSet({}, {}, [
+            ("W", ..., rng.normal(size=params.W.shape), params.W),
+            ("h", ..., rng.normal(size=params.h.shape), params.h),
+            ("P", np.array([0]), rng.normal(size=(1, 4)), params.P[[0]]),
+        ])
         adagrad_step(params, grads, state, 0.01)
         for name in ("W", "h", "P"):
             assert np.all(state.acc[name] >= prev[name] - 1e-15)
@@ -110,7 +111,8 @@ def test_adagrad_sparse_rows_only_touch_their_rows():
     params = init_parameters(cfg, 5, 1, seed=2)
     before = params.Q.copy()
     state = OptimizerState.for_params(params)
-    grads = GradientSet(dense={}, rows={"Q": (np.array([1, 3]), np.ones((2, 3)))})
+    rows = np.array([1, 3])
+    grads = GradientSet({}, {}, [("Q", rows, np.ones((2, 3)), params.Q[rows])])
     adagrad_step(params, grads, state, 0.5)
     assert not np.array_equal(params.Q[1], before[1])
     assert not np.array_equal(params.Q[3], before[3])
@@ -125,7 +127,7 @@ def test_pure_regularization_step_shrinks_parameters():
     l2, lr = 0.1, 1e-3
     state = OptimizerState.for_params(params)
     before_p = params.P.copy()
-    grads = GradientSet(dense={}, rows={"P": (np.arange(6), 2 * l2 * params.P.copy())})
+    grads = GradientSet({}, {}, [("P", np.arange(6), 2 * l2 * params.P, params.P.copy())])
     adagrad_step(params, grads, state, lr)
     assert np.all(np.abs(params.P) < np.abs(before_p))
     assert np.all(np.sign(params.P) == np.sign(before_p))  # no overshoot at this lr
@@ -289,6 +291,22 @@ def test_training_leaves_no_subnormal_parameter(kind, l2):
     assert not any(subnormal.values()), subnormal
 
 
+def per_array_adagrad(params, grads: GradientSet, acc: dict, lr: float, eps: float = 1e-8) -> None:
+    """Adagrad array by array from grads.dense and grads.rows, flushing below tiny."""
+    tiny = np.finfo(np.float64).tiny
+    for name, grad in grads.dense.items():
+        theta = params.get(name)
+        acc[name] += grad * grad
+        theta -= lr * grad / (np.sqrt(acc[name]) + eps)
+        theta[np.abs(theta) < tiny] = 0.0
+    for name, (idx, grad) in grads.rows.items():
+        total = acc[name][idx] + grad * grad
+        acc[name][idx] = total
+        new = params.get(name)[idx] - lr * grad / (np.sqrt(total) + eps)
+        new[np.abs(new) < tiny] = 0.0
+        params.get(name)[idx] = new
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -299,15 +317,15 @@ def test_training_leaves_no_subnormal_parameter(kind, l2):
     ids=["NAIS", "FLA_NAIS-D1", "FLA_DICF-D2"],
 )
 def test_segment_update_equals_per_array_update(cfg):
-    # backward's flat segments and the same gradients handed over array by
-    # array (as a hand-built GradientSet) must move the parameters and the
-    # accumulators bit for bit alike
+    # adagrad_step over backward's segment entries and the reference
+    # above over the same gradients by array must move the parameters
+    # and the accumulators bit for bit alike
     n_items, n_users = 9, 3
     flat = init_parameters(cfg, n_items, n_users, seed=1)
     flat.flat()[:] = np.random.default_rng(2).normal(0.0, 0.5, size=flat.flat().size)
     split = flat.copy()
-    assert flat.buffer() is not None and split.buffer() is not None
-    state_flat, state_split = OptimizerState.for_params(flat), OptimizerState.for_params(split)
+    state_flat = OptimizerState.for_params(flat)
+    acc_split = {name: np.zeros_like(arr) for name, arr in split.arrays()}
     rng = np.random.default_rng(3)
     for _ in range(40):
         items = rng.permutation(n_items)
@@ -315,13 +333,28 @@ def test_segment_update_equals_per_array_update(cfg):
                                 np.sort(items[1 : 1 + int(rng.integers(1, 6))]))
         label = float(rng.integers(2))
         grads = backward(forward_cache(cfg.model_kind, ctx, flat, cfg), label, flat, cfg, l2=1e-3)
-        assert grads.updates(flat) is grads.segments
         adagrad_step(flat, grads, state_flat, 0.05)
         grads = backward(forward_cache(cfg.model_kind, ctx, split, cfg), label, split, cfg, l2=1e-3)
-        adagrad_step(split, GradientSet(dict(grads.dense), dict(grads.rows)), state_split, 0.05)
+        per_array_adagrad(split, grads, acc_split, 0.05)
     assert flat.flat().tobytes() == split.flat().tobytes()
     for name, _ in flat.arrays():
-        assert state_flat.acc[name].tobytes() == state_split.acc[name].tobytes(), name
+        assert state_flat.acc[name].tobytes() == acc_split[name].tobytes(), name
+
+
+def test_gradients_without_update_entries_are_refused():
+    cfg = ModelConfig(model_kind=ModelKind.FISM, d=3)
+    params = init_parameters(cfg, 4, 1, seed=0)
+    before = params.flat().copy()
+    grad = np.ones((1, 3))
+    with pytest.raises(ValueError):
+        GradientSet({"P": grad}, {}, [])
+    with pytest.raises(ValueError):
+        GradientSet({}, {"Q": (np.array([2]), grad)}, [])
+    grads = GradientSet({"P": grad}, {}, [("P", np.array([0]), grad, params.P[[0]])])
+    grads.segments = []
+    with pytest.raises(ValueError):
+        adagrad_step(params, grads, OptimizerState.for_params(params), 0.1)
+    assert params.flat().tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: f"{c.model_kind}-{c.attention_mode}-{c.design}")
