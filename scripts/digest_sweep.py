@@ -6,16 +6,19 @@
 Runs, through flaicf.cli.main, FISM for 3 epochs, then NAIS (PROD and
 CONCAT), FLA_NAIS and FLA_DICF (Designs 1 and 2) and DEEPICF for 1 epoch
 each from the FISM checkpoint, with the flags bench/run.py trains with,
-and `evaluate --split test` of every model. With --workload, it first
-writes that benchmark workload's raw file (bench/generate.py, seed 1)
-under O/raw and runs `flaicf prepare` on it into O/prep, with the flags
-bench/run.py prepares with, and trains on that split; the digests then
-cover the split files too. It prints one `sha256  path` line per file
-written, the path relative to O. The data_dir, out_dir and
-pretrain_checkpoint values in config.used are replaced by placeholders
-before hashing, so two checkouts that train the same models print the
-same lines; diff the output of two checkouts to check that a change
-leaves every artifact bitwise equal.
+and `evaluate --split test` of every model. It writes the output of
+`flaicf gradcheck` for each of those eight variants (seed 0, the sweep's
+d and beta) to O/gradcheck/<variant>.txt, so the digests cover the
+gradients too. With --workload, it first writes that benchmark
+workload's raw file (bench/generate.py, seed 1) under O/raw and runs
+`flaicf prepare` on it into O/prep, with the flags bench/run.py prepares
+with, and trains on that split; the digests then cover the split files
+too. It prints one `sha256  path` line per file written, the path
+relative to O. The data_dir, out_dir and pretrain_checkpoint values in
+config.used are replaced by placeholders before hashing, so two
+checkouts that train the same models print the same lines; diff the
+output of two checkouts to check that a change leaves every artifact
+bitwise equal.
 """
 
 import argparse
@@ -45,12 +48,14 @@ VARIANTS = (
     ("FLA_DICF-D1", ["--model", "FLA_DICF", "--design", "DESIGN1"]),
     ("FLA_DICF-D2", ["--model", "FLA_DICF", "--design", "DESIGN2"]),
 )
+# the model width and smoothing of FLAGS, at gradcheck's seed 0
+GRADCHECK_FLAGS = ["--d", "16", "--beta", "0.7", "--seed", "0"]
 PATH_KEYS = ("data_dir", "out_dir", "pretrain_checkpoint")
 
 
-def run(argv: list[str]) -> None:
-    # the commands' progress lines go to stderr; stdout holds only digests
-    with contextlib.redirect_stdout(sys.stderr):
+def run(argv: list[str], output=sys.stderr) -> None:
+    # a command's printed lines go to output; stdout holds only digests
+    with contextlib.redirect_stdout(output):
         code = cli.main(argv)
     if code != 0:
         raise SystemExit(f"flaicf {' '.join(argv)} exited {code}")
@@ -102,6 +107,10 @@ def main() -> int:
         run(["train", "--data_dir", args.data_dir, "--out_dir", str(run_dir)] + flags + FLAGS + extra)
         run(["evaluate", "--data_dir", args.data_dir, "--split", "test",
              "--checkpoint", str(run_dir / "model.ckpt"), "--out_dir", str(run_dir)])
+    (out / "gradcheck").mkdir(parents=True, exist_ok=True)
+    for label, flags in VARIANTS:
+        with open(out / "gradcheck" / f"{label}.txt", "w", encoding="utf-8") as fh:
+            run(["gradcheck"] + flags + GRADCHECK_FLAGS, fh)
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print(f"{digest(path)}  {path.relative_to(out).as_posix()}")
     return 0

@@ -210,10 +210,12 @@ def _score_chunk(
 
 
 def baseline_scores(kind: str, split: SplitDataset, seed: int = 0, knn_k: int | None = None):
-    """Scorer for one of the RANDOM, POP or ITEMKNN baselines."""
+    """Scorer for one of the RANDOM, POP or ITEMKNN baselines (knn_k neighbours, None for all)."""
     kind = kind.upper()
     if kind not in BASELINES:
         raise ConfigError(f"unknown baseline {kind!r}; expected one of {BASELINES}")
+    if knn_k is not None and knn_k < 1:
+        raise ConfigError(f"knn_k must be >= 1, got {knn_k}")
     train = split.train
     n_items = train.item_count
 

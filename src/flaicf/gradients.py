@@ -7,7 +7,7 @@ The objective for one training instance is
 where the sum runs over exactly the parameters the instance touches: the
 target row of P, the history rows of Q, the model's shared weight arrays,
 and for the deep family the instance's two bias entries. Parameters the
-instance does not touch have zero gradient and are omitted.
+instance does not touch have zero gradient: no update entry writes them.
 
 The smoothed softmax w_j = E_j / S**beta with E = exp(v), S = sum(E) has
 Jacobian dw_j/dv_l = w_j * (delta_jl - beta * E_l / S), so its
@@ -62,55 +62,43 @@ def score_grad(score: float, label: float) -> float:
 
 @dataclass
 class GradientSet:
-    """One instance's gradients: the update entries, and the same by array name.
+    """One instance's gradients, as the update entries adagrad_step applies.
 
-    segments holds the (segment, indices, gradient, parameters) entries
-    adagrad_step applies, the parameters being the values the forward pass
-    read: the SHARED segment (params module) with one gradient vector, the
-    target row then the history rows as one block of the PQ table, and the
-    deep family's two BIAS entries. An entry may name one array instead
-    (index ... for all of it). dense (shared arrays) and rows ((indices,
-    row gradients) of P, Q and the biases) hold the same gradients by
-    array name; gradcheck and tests read them. A set with gradients but
-    no update entries raises ValueError.
+    Each entry of segments is (name, indices, gradient, parameters): name
+    is a segment of the parameter buffer (params module) or one array,
+    indices are its rows (... for all of it), and parameters are the
+    values the forward pass read there. backward gives the SHARED segment
+    with one gradient vector, the target row then the history rows as one
+    block of the PQ table, and the deep family's two BIAS entries.
     """
 
-    dense: dict[str, np.ndarray]
-    rows: dict[str, tuple[np.ndarray, np.ndarray]]
     segments: list[tuple[str, object, np.ndarray, np.ndarray]]
 
-    def __post_init__(self) -> None:
-        self.check_updates()
-
-    def check_updates(self) -> None:
-        """Raise ValueError when the set holds gradients but no update entries."""
-        if not self.segments and (self.dense or self.rows):
-            raise ValueError("gradient set has gradients but no update entries")
-
-    def items(self):
-        yield from self.dense.items()
-        yield from self.rows.items()
+    def by_array(self, params: ParameterSet) -> dict[str, np.ndarray]:
+        """Every array of params by name, holding the sum of the entries that write it, else 0."""
+        views = buffer_views(np.zeros_like(params.flat()), params.shapes())
+        for name, idx, grad, _ in self.segments:
+            np.add.at(views[name], idx, grad)
+        return {name: views[name] for name in params.shapes()}
 
 
 @dataclass
 class Workspace:
     """What backward reuses from one instance to the next.
 
-    A gradient vector laid out like the parameters' SHARED segment, and
-    its per-array views. train builds one per run; backward builds its
-    own when given none, so its results never share memory with earlier
-    ones.
+    A gradient buffer laid out like the parameters': its SHARED segment,
+    which backward fills, and its views by array name. train builds one
+    per run; backward builds its own when given none, so its results
+    never share memory with earlier ones.
     """
 
     shared: np.ndarray
-    dense: dict[str, np.ndarray]
+    views: dict[str, np.ndarray]
 
     @classmethod
     def for_params(cls, params: ParameterSet) -> "Workspace":
         views = buffer_views(np.empty_like(params.flat()), params.shapes())
-        rows = ("P", "Q", "b_user", "b_item")
-        dense = {name: views[name] for name in params.shapes() if name not in rows}
-        return cls(views[SHARED], dense)
+        return cls(views[SHARED], views)
 
 
 def _smoothed_vjp(parts: SmoothedSoftmax, dw: np.ndarray, beta: float) -> np.ndarray:
@@ -124,13 +112,13 @@ def _row_softmax_vjp(s: np.ndarray, ds: np.ndarray) -> np.ndarray:
     return s * (ds - (s * ds).sum(axis=1, keepdims=True))
 
 
-def _deep_vjp(cache: ForwardCache, params: ParameterSet, g: float, dense: dict) -> np.ndarray:
+def _deep_vjp(cache: ForwardCache, params: ParameterSet, g: float, views: dict) -> np.ndarray:
     """Backward through the ReLU tower and final regression; returns de."""
-    np.multiply(g, cache.deep_u[-1], out=dense["V"])
+    np.multiply(g, cache.deep_u[-1], out=views["V"])
     du = g * params.V
     for l in range(len(params.deep_W) - 1, -1, -1):
-        dz = np.multiply(du, cache.deep_z[l] > 0.0, out=dense[f"deep_b.{l}"])
-        np.multiply(dz[:, None], cache.deep_u[l], out=dense[f"deep_W.{l}"])
+        dz = np.multiply(du, cache.deep_z[l] > 0.0, out=views[f"deep_b.{l}"])
+        np.multiply(dz[:, None], cache.deep_u[l], out=views[f"deep_W.{l}"])
         du = params.deep_W[l].T @ dz
     return du
 
@@ -155,9 +143,8 @@ def backward(
     g = score_grad(cache.score, label)
     decay = 2.0 * l2
     ws = Workspace.for_params(params) if workspace is None else workspace
-    rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     entries: list = []
-    grads = GradientSet({}, rows, entries)
+    grads = GradientSet(entries)
 
     if kind in DEEP_KINDS:
         idx = np.array([ctx.user, params.n_users + ctx.target])
@@ -165,8 +152,6 @@ def backward(
         dbias = np.array((g, g))
         if l2 != 0.0:
             dbias += decay * bias
-        rows["b_user"] = (idx[:1], dbias[:1])
-        rows["b_item"] = (np.array([ctx.target]), dbias[1:])
         entries.append((BIAS, idx, dbias, bias))
     if cache.empty:
         return grads
@@ -176,8 +161,6 @@ def backward(
     p, Qh = pq[0], pq[1:]
     dpq = np.zeros(pq.shape)
     dp, dQh = dpq[0], dpq[1:]
-    rows["P"] = (idx[:1], dpq[:1])
-    rows["Q"] = (ctx.history, dQh)
     entries.append((PQ, idx, dpq, pq))
 
     if kind is ModelKind.FISM:
@@ -188,8 +171,7 @@ def backward(
             dpq += decay * pq
         return grads
 
-    dense, flat = ws.dense, ws.shared
-    grads.dense = dense
+    views, flat = ws.views, ws.shared
     entries.append((SHARED, ..., flat, params.get(SHARED)))
 
     concat = kind is ModelKind.NAIS and config.attention_mode is AttentionMode.CONCAT
@@ -207,12 +189,12 @@ def backward(
         dA = g * cache.X
         dX = g * cache.A
     elif kind is ModelKind.DEEPICF:
-        de = _deep_vjp(cache, params, g, dense)
+        de = _deep_vjp(cache, params, g, views)
         w = cache.item.weights
         dw = cache.X @ de
         dX = w[:, None] * de[None, :]
     elif kind is ModelKind.FLA_DICF:
-        de = _deep_vjp(cache, params, g, dense)
+        de = _deep_vjp(cache, params, g, views)
         dA = cache.X * de[None, :]
         dX = cache.A * de[None, :]
     else:
@@ -225,30 +207,30 @@ def backward(
             ds = cache.item.weights[:, None] * dA
             da_hat = _row_softmax_vjp(cache.row_s, ds)
             dv = _smoothed_vjp(cache.item, db_item, beta)
-            np.matmul(cache.R.T, da_hat, out=dense["H"])
-            np.matmul(cache.R.T, dv, out=dense["h"])
+            np.matmul(cache.R.T, da_hat, out=views["H"])
+            np.matmul(cache.R.T, dv, out=views["h"])
             dR = da_hat @ params.H.T + dv[:, None] * params.h[None, :]
         else:
             da_hat = _smoothed_vjp(cache.cols, dA, beta)
-            np.matmul(cache.R.T, da_hat, out=dense["H"])
+            np.matmul(cache.R.T, da_hat, out=views["H"])
             dR = da_hat @ params.H.T
     else:
         dv = _smoothed_vjp(cache.item, dw, beta)
-        np.matmul(cache.R.T, dv, out=dense["h"])
+        np.matmul(cache.R.T, dv, out=views["h"])
         dR = dv[:, None] * params.h[None, :]
 
     # Shared hidden layer backward.
     dZ = dR * cache.M
-    dZ.sum(axis=0, out=dense["b"])
+    dZ.sum(axis=0, out=views["b"])
     if concat:
         d = config.d
         dz_total = dZ.sum(axis=0)
-        dense["W"][:, :d] = np.outer(dz_total, p)
-        dense["W"][:, d:] = dZ.T @ Qh
+        views["W"][:, :d] = np.outer(dz_total, p)
+        views["W"][:, d:] = dZ.T @ Qh
         dp += dz_total @ params.W[:, :d]
         dQh += dZ @ params.W[:, d:]
     else:
-        np.matmul(dZ.T, cache.X, out=dense["W"])
+        np.matmul(dZ.T, cache.X, out=views["W"])
         dX = dZ @ params.W if dX is None else dX + dZ @ params.W
         dp += (dX * Qh).sum(axis=0)
         dQh += dX * p[None, :]
@@ -301,11 +283,10 @@ def finite_difference_grads(
 ) -> GradientSet:
     """Central finite differences of instance_objective, entry by entry.
 
-    The update entries name params' arrays, so adagrad_step can apply them.
+    One update entry per touched array, named by the array, so
+    adagrad_step can apply them.
     """
     work = params.copy()
-    dense: dict[str, np.ndarray] = {}
-    rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     entries: list = []
 
     def diff_at(arr: np.ndarray, pos: tuple) -> float:
@@ -323,7 +304,6 @@ def finite_difference_grads(
             grad = np.zeros_like(arr)
             for pos in np.ndindex(arr.shape):
                 grad[pos] = diff_at(arr, pos)
-            dense[name] = grad
             entries.append((name, ..., grad, params.get(name)))
         else:
             if arr.ndim == 1:
@@ -333,37 +313,22 @@ def finite_difference_grads(
                 for k, r in enumerate(idx):
                     for c in range(arr.shape[1]):
                         grad[k, c] = diff_at(arr, (int(r), c))
-            idx = np.asarray(idx)
-            rows[name] = (idx, grad)
             entries.append((name, idx, grad, params.get(name)[idx]))
-    return GradientSet(dense, rows, entries)
+    return GradientSet(entries)
 
 
 def relative_errors(
-    analytic: GradientSet,
-    numeric: GradientSet,
+    analytic: dict[str, np.ndarray],
+    numeric: dict[str, np.ndarray],
     floor: float = 1e-6,
 ) -> dict[str, float]:
-    """Per-array max of |a - n| / max(|a|, |n|, floor)."""
-    names = set(dict(analytic.items())) | set(dict(numeric.items()))
+    """Per-array max of |a - n| / max(|a|, |n|, floor), over two GradientSet.by_array dicts."""
     out = {}
-    for name in sorted(names):
-        a = _flat(analytic, name)
-        n = _flat(numeric, name)
-        if a is None or n is None or a.shape != n.shape:
-            out[name] = float("inf")
-            continue
+    for name in sorted(analytic):
+        a, n = analytic[name], numeric[name]
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
         out[name] = float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
     return out
-
-
-def _flat(grads: GradientSet, name: str) -> np.ndarray | None:
-    if name in grads.dense:
-        return grads.dense[name]
-    if name in grads.rows:
-        return grads.rows[name][1]
-    return None
 
 
 @dataclass
@@ -447,7 +412,7 @@ def gradcheck(
         for label in (1.0, 0.0):
             grads = backward(cache, label, params, model_config, l2)
             fd = finite_difference_grads(kind, ctx, label, params, model_config, l2, step)
-            for name, err in relative_errors(grads, fd).items():
+            for name, err in relative_errors(grads.by_array(params), fd.by_array(params)).items():
                 per_array[name] = max(per_array.get(name, 0.0), err)
         max_error = max(per_array.values()) if per_array else 0.0
         return GradcheckReport(

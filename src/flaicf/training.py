@@ -96,13 +96,12 @@ def adagrad_step(
 
     One update expression per entry of grads.segments: the SHARED segment
     (or a whole array) is updated in place, indexed rows (P/Q, the deep
-    family's biases) from the values backward read. Every theta the update
-    writes whose magnitude falls below TINY becomes 0: l2 decays the
-    weights of dead ReLU units toward zero, and subnormal values slow
-    every later product they enter. A set with gradients but no update
-    entries raises ValueError.
+    family's biases) from the values backward read. Parameters no entry
+    names are left as they are. Every theta the update writes whose
+    magnitude falls below TINY becomes 0: l2 decays the weights of dead
+    ReLU units toward zero, and subnormal values slow every later product
+    they enter.
     """
-    grads.check_updates()
     for name, idx, grad, theta in grads.segments:
         acc = state.acc[name]
         if idx is ...:

@@ -320,6 +320,7 @@ MALFORMED_VALUES = {
     "train-deep_layers": ["train", "--model", "DEEPICF", "--deep_layers", "a,b"],
     "evaluate-baseline": ["evaluate", "--baseline", "FOO"],
     "evaluate-eval_n": ["evaluate", "--baseline", "POP", "--eval_n", "0"],
+    "evaluate-knn_k": ["evaluate", "--baseline", "ITEMKNN", "--knn_k", "-3"],
     "prepare-k_user": ["prepare", "--k_user", "0"],
     "prepare-ratios-sum": ["prepare", "--ratios", "0.5,0.5"],
     "prepare-ratios-text": ["prepare", "--ratios", "a,b,c"],

@@ -21,6 +21,7 @@ from flaicf.gradients import (
     sigmoid,
     touched_parameters,
 )
+from flaicf.params import BIAS, PQ
 from flaicf.predictors import PredictionContext, forward_cache
 from tests.conftest import random_params
 
@@ -69,12 +70,38 @@ def test_gradcheck_negated_gradient_control():
     params = random_params(cfg, 8, 2, seed=23)
     ctx = PredictionContext(user=0, target=0, history=np.array([1, 2, 3]))
     cache = forward_cache(cfg.model_kind, ctx, params, cfg)
-    grads = backward(cache, 1.0, params, cfg, l2=0.0)
-    grads.dense["H"] = -grads.dense["H"]
-    numeric = finite_difference_grads(cfg.model_kind, ctx, 1.0, params, cfg)
-    errors = relative_errors(grads, numeric)
+    analytic = backward(cache, 1.0, params, cfg, l2=0.0).by_array(params)
+    analytic["H"] = -analytic["H"]
+    numeric = finite_difference_grads(cfg.model_kind, ctx, 1.0, params, cfg).by_array(params)
+    errors = relative_errors(analytic, numeric)
     assert errors["H"] == pytest.approx(2.0, abs=0.05)
     assert max(v for k, v in errors.items() if k != "H") < 1e-4
+
+
+@pytest.mark.parametrize(
+    "segment, position, wrong, arrays",
+    [(PQ, 0, 5, {"P"}), (BIAS, 1, 1, {"b_user", "b_item"})],
+    ids=["target-row-of-P", "item-bias-without-user-offset"],
+)
+def test_gradcheck_misplaced_row_control(segment, position, wrong, arrays):
+    # the right gradient written to the wrong row must push the relative
+    # error of every array the move touches to 1: zero where the gradient
+    # belongs, a gradient where none does
+    cfg = ModelConfig(model_kind=ModelKind.DEEPICF, d=4, d_prime=4)
+    params = random_params(cfg, 8, 3, seed=28)
+    ctx = PredictionContext(user=0, target=2, history=np.array([1, 3, 6]))
+    cache = forward_cache(cfg.model_kind, ctx, params, cfg)
+    grads = backward(cache, 1.0, params, cfg, l2=1e-3)
+    [k] = [k for k, entry in enumerate(grads.segments) if entry[0] == segment]
+    _, idx, grad, theta = grads.segments[k]
+    idx = idx.copy()
+    idx[position] = wrong
+    grads.segments[k] = (segment, idx, grad, theta)
+    numeric = finite_difference_grads(cfg.model_kind, ctx, 1.0, params, cfg, l2=1e-3)
+    errors = relative_errors(grads.by_array(params), numeric.by_array(params))
+    for name in arrays:
+        assert errors[name] == pytest.approx(1.0, abs=1e-9), name
+    assert max(v for k, v in errors.items() if k not in arrays) < 1e-4
 
 
 def test_untouched_rows_get_no_gradient():
@@ -82,15 +109,16 @@ def test_untouched_rows_get_no_gradient():
     params = random_params(cfg, 10, 4, seed=24)
     ctx = PredictionContext(user=2, target=1, history=np.array([4, 7]))
     cache = forward_cache(cfg.model_kind, ctx, params, cfg)
-    grads = backward(cache, 1.0, params, cfg, l2=0.0)
-    p_idx, _ = grads.rows["P"]
-    assert set(p_idx.tolist()) == {1}
-    q_idx, _ = grads.rows["Q"]
-    assert set(q_idx.tolist()) == {4, 7}
-    bu_idx, _ = grads.rows["b_user"]
-    assert set(bu_idx.tolist()) == {2}
-    bi_idx, _ = grads.rows["b_item"]
-    assert set(bi_idx.tolist()) == {1}
+    by_array = backward(cache, 1.0, params, cfg, l2=0.0).by_array(params)
+
+    def written_rows(name):
+        grad = by_array[name]
+        return set(np.flatnonzero(grad.reshape(grad.shape[0], -1).any(axis=1)).tolist())
+
+    assert written_rows("P") == {1}
+    assert written_rows("Q") == {4, 7}
+    assert written_rows("b_user") == {2}
+    assert written_rows("b_item") == {1}
 
 
 def test_touched_parameters_cover_backward_outputs():
@@ -100,7 +128,8 @@ def test_touched_parameters_cover_backward_outputs():
         cache = forward_cache(cfg.model_kind, ctx, params, cfg)
         grads = backward(cache, 0.0, params, cfg, l2=1e-3)
         contract = {name for name, _ in touched_parameters(ctx, cfg)}
-        produced = set(dict(grads.items()))
+        # with l2 > 0 every touched parameter gets a nonzero gradient
+        produced = {name for name, grad in grads.by_array(params).items() if grad.any()}
         assert produced == contract, cfg.model_kind
 
 
@@ -109,14 +138,10 @@ def test_l2_term_shifts_gradient_by_2_lambda_theta():
     params = random_params(cfg, 6, 1, seed=26)
     ctx = PredictionContext(user=0, target=0, history=np.array([1, 2]))
     cache = forward_cache(cfg.model_kind, ctx, params, cfg)
-    plain = backward(cache, 1.0, params, cfg, l2=0.0)
-    reg = backward(cache, 1.0, params, cfg, l2=0.1)
-    np.testing.assert_allclose(
-        reg.dense["W"], plain.dense["W"] + 2 * 0.1 * params.W, atol=1e-12
-    )
-    idx, rows_reg = reg.rows["P"]
-    _, rows_plain = plain.rows["P"]
-    np.testing.assert_allclose(rows_reg, rows_plain + 2 * 0.1 * params.P[idx], atol=1e-12)
+    plain = backward(cache, 1.0, params, cfg, l2=0.0).by_array(params)
+    reg = backward(cache, 1.0, params, cfg, l2=0.1).by_array(params)
+    np.testing.assert_allclose(reg["W"], plain["W"] + 2 * 0.1 * params.W, atol=1e-12)
+    np.testing.assert_allclose(reg["P"][0], plain["P"][0] + 2 * 0.1 * params.P[0], atol=1e-12)
 
 
 def test_gradcheck_retries_to_stable_seed():
@@ -138,5 +163,5 @@ def test_gradcheck_exercises_both_labels_and_reg():
         cache = forward_cache(cfg.model_kind, ctx, params, cfg)
         grads = backward(cache, label, params, cfg, l2=1e-3)
         numeric = finite_difference_grads(cfg.model_kind, ctx, label, params, cfg, l2=1e-3)
-        errors = relative_errors(grads, numeric)
+        errors = relative_errors(grads.by_array(params), numeric.by_array(params))
         assert max(errors.values()) < 1e-4, (label, errors)

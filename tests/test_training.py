@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from flaicf.config import Design, ModelConfig, ModelKind, TrainConfig
+from flaicf.config import ModelConfig, ModelKind, TrainConfig
 from flaicf.evaluation import evaluate_model
-from flaicf.gradients import GradientSet, backward, instance_data_loss
+from flaicf.gradients import GradientSet, backward, instance_data_loss, touched_parameters
 from flaicf.params import init_parameters, params_equal
 from flaicf.training import (
     OptimizerState,
@@ -68,7 +68,7 @@ def one_param_setup(value: float):
 
 
 def grad_of(params, value: float) -> GradientSet:
-    return GradientSet({}, {}, [("P", ..., np.array([[value]]), params.P)])
+    return GradientSet([("P", ..., np.array([[value]]), params.P)])
 
 
 def test_adagrad_first_step_normalizes_to_lr():
@@ -95,7 +95,7 @@ def test_adagrad_accumulator_never_decreases():
     rng = np.random.default_rng(1)
     prev = {k: v.copy() for k, v in state.acc.items()}
     for _ in range(20):
-        grads = GradientSet({}, {}, [
+        grads = GradientSet([
             ("W", ..., rng.normal(size=params.W.shape), params.W),
             ("h", ..., rng.normal(size=params.h.shape), params.h),
             ("P", np.array([0]), rng.normal(size=(1, 4)), params.P[[0]]),
@@ -112,7 +112,7 @@ def test_adagrad_sparse_rows_only_touch_their_rows():
     before = params.Q.copy()
     state = OptimizerState.for_params(params)
     rows = np.array([1, 3])
-    grads = GradientSet({}, {}, [("Q", rows, np.ones((2, 3)), params.Q[rows])])
+    grads = GradientSet([("Q", rows, np.ones((2, 3)), params.Q[rows])])
     adagrad_step(params, grads, state, 0.5)
     assert not np.array_equal(params.Q[1], before[1])
     assert not np.array_equal(params.Q[3], before[3])
@@ -127,7 +127,7 @@ def test_pure_regularization_step_shrinks_parameters():
     l2, lr = 0.1, 1e-3
     state = OptimizerState.for_params(params)
     before_p = params.P.copy()
-    grads = GradientSet({}, {}, [("P", np.arange(6), 2 * l2 * params.P, params.P.copy())])
+    grads = GradientSet([("P", np.arange(6), 2 * l2 * params.P, params.P.copy())])
     adagrad_step(params, grads, state, lr)
     assert np.all(np.abs(params.P) < np.abs(before_p))
     assert np.all(np.sign(params.P) == np.sign(before_p))  # no overshoot at this lr
@@ -291,35 +291,36 @@ def test_training_leaves_no_subnormal_parameter(kind, l2):
     assert not any(subnormal.values()), subnormal
 
 
-def per_array_adagrad(params, grads: GradientSet, acc: dict, lr: float, eps: float = 1e-8) -> None:
-    """Adagrad array by array from grads.dense and grads.rows, flushing below tiny."""
+def per_array_adagrad(params, grads: GradientSet, ctx, cfg, acc: dict, lr: float,
+                      eps: float = 1e-8) -> None:
+    """Adagrad array by array over the arrays and rows ctx touches, flushing below tiny."""
     tiny = np.finfo(np.float64).tiny
-    for name, grad in grads.dense.items():
-        theta = params.get(name)
-        acc[name] += grad * grad
-        theta -= lr * grad / (np.sqrt(acc[name]) + eps)
-        theta[np.abs(theta) < tiny] = 0.0
-    for name, (idx, grad) in grads.rows.items():
-        total = acc[name][idx] + grad * grad
-        acc[name][idx] = total
-        new = params.get(name)[idx] - lr * grad / (np.sqrt(total) + eps)
-        new[np.abs(new) < tiny] = 0.0
-        params.get(name)[idx] = new
+    by_array = grads.by_array(params)
+    for name, idx in touched_parameters(ctx, cfg):
+        theta, grad = params.get(name), by_array[name]
+        if idx is None:
+            acc[name] += grad * grad
+            theta -= lr * grad / (np.sqrt(acc[name]) + eps)
+            theta[np.abs(theta) < tiny] = 0.0
+        else:
+            total = acc[name][idx] + grad[idx] * grad[idx]
+            acc[name][idx] = total
+            new = theta[idx] - lr * grad[idx] / (np.sqrt(total) + eps)
+            new[np.abs(new) < tiny] = 0.0
+            theta[idx] = new
 
 
 @pytest.mark.parametrize(
     "cfg",
-    [
-        ModelConfig(model_kind=ModelKind.NAIS, d=4),
-        ModelConfig(model_kind=ModelKind.FLA_NAIS, design=Design.DESIGN1, d=4),
-        ModelConfig(model_kind=ModelKind.FLA_DICF, design=Design.DESIGN2, d=4),
-    ],
-    ids=["NAIS", "FLA_NAIS-D1", "FLA_DICF-D2"],
+    ALL_CONFIGS,
+    ids=["FISM", "NAIS", "NAIS-CONCAT", "FLA_NAIS-D1", "FLA_NAIS-D2", "DEEPICF",
+         "FLA_DICF-D1", "FLA_DICF-D2"],
 )
 def test_segment_update_equals_per_array_update(cfg):
     # adagrad_step over backward's segment entries and the reference
-    # above over the same gradients by array must move the parameters
-    # and the accumulators bit for bit alike
+    # above, over the same gradients array by array on the rows the
+    # contract names, must move the parameters and the accumulators bit
+    # for bit alike
     n_items, n_users = 9, 3
     flat = init_parameters(cfg, n_items, n_users, seed=1)
     flat.flat()[:] = np.random.default_rng(2).normal(0.0, 0.5, size=flat.flat().size)
@@ -335,26 +336,10 @@ def test_segment_update_equals_per_array_update(cfg):
         grads = backward(forward_cache(cfg.model_kind, ctx, flat, cfg), label, flat, cfg, l2=1e-3)
         adagrad_step(flat, grads, state_flat, 0.05)
         grads = backward(forward_cache(cfg.model_kind, ctx, split, cfg), label, split, cfg, l2=1e-3)
-        per_array_adagrad(split, grads, acc_split, 0.05)
+        per_array_adagrad(split, grads, ctx, cfg, acc_split, 0.05)
     assert flat.flat().tobytes() == split.flat().tobytes()
     for name, _ in flat.arrays():
         assert state_flat.acc[name].tobytes() == acc_split[name].tobytes(), name
-
-
-def test_gradients_without_update_entries_are_refused():
-    cfg = ModelConfig(model_kind=ModelKind.FISM, d=3)
-    params = init_parameters(cfg, 4, 1, seed=0)
-    before = params.flat().copy()
-    grad = np.ones((1, 3))
-    with pytest.raises(ValueError):
-        GradientSet({"P": grad}, {}, [])
-    with pytest.raises(ValueError):
-        GradientSet({}, {"Q": (np.array([2]), grad)}, [])
-    grads = GradientSet({"P": grad}, {}, [("P", np.array([0]), grad, params.P[[0]])])
-    grads.segments = []
-    with pytest.raises(ValueError):
-        adagrad_step(params, grads, OptimizerState.for_params(params), 0.1)
-    assert params.flat().tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: f"{c.model_kind}-{c.attention_mode}-{c.design}")
@@ -397,8 +382,7 @@ def test_backward_without_a_workspace_never_reuses_memory(cfg):
     first, second = (backward(cache, label, params, cfg, l2=1e-3) for label in (1.0, 0.0))
 
     def arrays(grads):
-        return (list(grads.dense.values()) + [grad for _, grad in grads.rows.values()]
-                + [grad for _, _, grad, _ in grads.segments])
+        return [grad for _, _, grad, _ in grads.segments]
 
     assert arrays(first) and arrays(second)
     for a in arrays(first):
