@@ -6,7 +6,9 @@
 Runs, through flaicf.cli.main, FISM for 3 epochs, then NAIS (PROD and
 CONCAT), FLA_NAIS and FLA_DICF (Designs 1 and 2) and DEEPICF for 1 epoch
 each from the FISM checkpoint, with the flags bench/run.py trains with,
-and `evaluate --split test` of every model. It writes the output of
+and `evaluate --split test` of every model, serially and with
+`--eval_workers 2` into O/<variant>/pool; it exits nonzero if the two
+evaluation files of a variant differ. It writes the output of
 `flaicf gradcheck` for each of those eight variants (seed 0, the sweep's
 d and beta) to O/gradcheck/<variant>.txt, so the digests cover the
 gradients too. With --workload, it first writes that benchmark
@@ -105,8 +107,13 @@ def main() -> int:
         else:
             extra = ["--epochs", "1", "--pretrain", "true", "--pretrain_checkpoint", str(fism_ckpt)]
         run(["train", "--data_dir", args.data_dir, "--out_dir", str(run_dir)] + flags + FLAGS + extra)
-        run(["evaluate", "--data_dir", args.data_dir, "--split", "test",
-             "--checkpoint", str(run_dir / "model.ckpt"), "--out_dir", str(run_dir)])
+        evaluate = ["evaluate", "--data_dir", args.data_dir, "--split", "test",
+                    "--checkpoint", str(run_dir / "model.ckpt")]
+        run(evaluate + ["--out_dir", str(run_dir)])
+        run(evaluate + ["--eval_workers", "2", "--out_dir", str(run_dir / "pool")])
+        for serial in run_dir.glob("eval_*.json"):
+            if serial.read_bytes() != (run_dir / "pool" / serial.name).read_bytes():
+                raise SystemExit(f"{label}: pooled {serial.name} differs from the serial one")
     (out / "gradcheck").mkdir(parents=True, exist_ok=True)
     for label, flags in VARIANTS:
         with open(out / "gradcheck" / f"{label}.txt", "w", encoding="utf-8") as fh:

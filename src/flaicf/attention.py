@@ -89,15 +89,20 @@ def smoothed_softmax(logits: np.ndarray, beta: float) -> np.ndarray:
     return _smoothed_parts(np.asarray(logits, dtype=float), beta).weights
 
 
-def _smoothed_parts(logits: np.ndarray, beta: float) -> SmoothedSoftmax:
-    """Smoothed softmax over the history (last) axis of item logits."""
+def _smoothed_parts(logits: np.ndarray, beta: float, out=(None, None)) -> SmoothedSoftmax:
+    """Smoothed softmax over the history (last) axis of item logits.
+
+    out holds the arrays the exps and the weights are written into (fresh
+    arrays where None).
+    """
     if logits.shape[-1] == 0:
         raise ValueError("smoothed softmax needs at least one logit")
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
     if not np.isfinite(logits).all():
         raise NonFiniteError("logits must be finite")
-    e = np.exp(logits.clip(-LOGIT_CLAMP, LOGIT_CLAMP))
+    e = logits.clip(-LOGIT_CLAMP, LOGIT_CLAMP, out=out[0])
+    np.exp(e, out=e)
     denom = e.sum(axis=-1)
     # libm's pow, one target at a time: numpy's vectorized power differs
     # from it in the last bit for some inputs, and a candidate's weights
@@ -106,43 +111,59 @@ def _smoothed_parts(logits: np.ndarray, beta: float) -> SmoothedSoftmax:
         scale = float(denom) ** beta
     else:
         scale = np.fromiter(map(math.pow, denom.tolist(), repeat(beta)), float, denom.size)[:, None]
-    return SmoothedSoftmax(weights=e / scale, exp=e, denom=denom, logits=logits)
+    weights = np.divide(e, scale, out=out[1])
+    return SmoothedSoftmax(weights=weights, exp=e, denom=denom, logits=logits)
 
 
-def _row_softmax(a_hat: np.ndarray) -> np.ndarray:
-    """Shifted softmax over the last (feature) axis."""
-    shifted = np.exp(a_hat - a_hat.max(axis=-1, keepdims=True))
-    return shifted / shifted.sum(axis=-1, keepdims=True)
+def _row_softmax(a_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Shifted softmax over the last (feature) axis, written into out when given."""
+    shifted = np.subtract(a_hat, a_hat.max(axis=-1, keepdims=True), out=out)
+    np.exp(shifted, out=shifted)
+    return np.divide(shifted, shifted.sum(axis=-1, keepdims=True), out=shifted)
 
 
-def _col_smoothed_parts(a_hat: np.ndarray, beta: float) -> SmoothedSoftmax:
-    """Smoothed softmax over the history axis of feature logits, per feature."""
+def _col_smoothed_parts(a_hat: np.ndarray, beta: float, out=(None, None)) -> SmoothedSoftmax:
+    """Smoothed softmax over the history axis of feature logits, per feature.
+
+    out holds the arrays the exps and the weights are written into (fresh
+    arrays where None).
+    """
     if a_hat.shape[-2] == 0:
         raise ValueError("smoothed softmax needs at least one history item")
     if not np.isfinite(a_hat).all():
         raise NonFiniteError("feature logits must be finite")
-    e = np.exp(a_hat.clip(-LOGIT_CLAMP, LOGIT_CLAMP))
+    e = a_hat.clip(-LOGIT_CLAMP, LOGIT_CLAMP, out=out[0])
+    np.exp(e, out=e)
     denom = e.sum(axis=-2)
-    return SmoothedSoftmax(weights=e / denom[..., None, :] ** beta, exp=e, denom=denom, logits=a_hat)
+    weights = np.divide(e, denom[..., None, :] ** beta, out=out[1])
+    return SmoothedSoftmax(weights=weights, exp=e, denom=denom, logits=a_hat)
 
 
-def hidden_prod(p: np.ndarray, Q_hist: np.ndarray, W: np.ndarray, b: np.ndarray):
+def hidden_prod(p: np.ndarray, Q_hist: np.ndarray, W: np.ndarray, b: np.ndarray, out=(None, None, None)):
     """Shared hidden layer over the history, elementwise-product encoding.
 
     Returns (X, Z, R): interaction vectors, pre-activations and ReLU
     outputs, each with one row per history item (per candidate when p
-    holds a row per candidate).
+    holds a row per candidate), written into the arrays of out where
+    given.
     """
-    X = p[..., None, :] * Q_hist
-    Z = (X.reshape(-1, X.shape[-1]) @ W.T).reshape(*X.shape[:-1], -1) + b
-    return X, Z, np.maximum(Z, 0.0)
+    X = np.multiply(p[..., None, :], Q_hist, out=out[0])
+    rows = X.reshape(-1, X.shape[-1])
+    Z = None if out[1] is None else out[1].reshape(rows.shape[0], -1)
+    Z = np.matmul(rows, W.T, out=Z).reshape(*X.shape[:-1], -1)
+    np.add(Z, b, out=Z)
+    return X, Z, np.maximum(Z, 0.0, out=out[2])
 
 
-def hidden_concat(p: np.ndarray, Q_hist: np.ndarray, W: np.ndarray, b: np.ndarray):
-    """Shared hidden layer, concatenation encoding (NAIS CONCAT mode)."""
+def hidden_concat(p: np.ndarray, Q_hist: np.ndarray, W: np.ndarray, b: np.ndarray, out=(None, None)):
+    """Shared hidden layer, concatenation encoding (NAIS CONCAT mode).
+
+    Returns (Z, R), written into the arrays of out where given.
+    """
     d = p.shape[-1]
-    Z = (p @ W[:, :d].T)[..., None, :] + Q_hist @ W[:, d:].T + b
-    return Z, np.maximum(Z, 0.0)
+    Z = np.add((p @ W[:, :d].T)[..., None, :], Q_hist @ W[:, d:].T, out=out[0])
+    np.add(Z, b, out=Z)
+    return Z, np.maximum(Z, 0.0, out=out[1])
 
 
 def nais_weights(

@@ -21,7 +21,7 @@ import numpy as np
 from .config import DEEP_KINDS, ConfigError, ModelConfig, ModelKind
 from .data import SplitDataset
 from .params import ParameterSet
-from .predictors import forward_block
+from .predictors import BlockWorkspace, forward_block
 
 BASELINES = ("RANDOM", "POP", "ITEMKNN")
 
@@ -162,19 +162,43 @@ def _mean_metrics(results, on: str, n: int) -> MetricsRecord:
     )
 
 
+# Elements in each candidates x history x max(d, d') intermediate of one
+# scoring block. At d = d' = 16 a block's (c*m x d) @ (d x d') GEMM then
+# stays at OpenBLAS's 2**18 multiply-add limit for running it on one
+# thread, so two pool workers no longer run four BLAS threads on two
+# CPUs, and each intermediate (128 KB) stays in cache. Against one fresh
+# block of all 150 items, on the benchmark's `long` workload (FLA_NAIS
+# Design 2, median history 39; 2 CPUs, OpenBLAS 0.3.31), medians of 10
+# runs: pooled ranking 131 -> 347 users/s, serial 380 -> 440 users/s.
+BLOCK = 2**14
+
+
 def model_scorer(params: ParameterSet, config: ModelConfig, split: SplitDataset, chunk: int = 1024):
-    """Score every item for a user, chunk by chunk of items.
+    """Score every item for a user, block by block of items.
 
     The history is the user's training positives; eval candidates are never
     in it, so no per-candidate exclusion is needed. An attentive model runs
-    predictors.forward_block over each chunk of up to `chunk` items
-    (_score_chunk), which matches the instance forward pass up to rounding;
-    FISM sums the history first, costing O(n d) instead of O(n m d).
+    predictors.forward_block over each block of items (_score_chunk), which
+    matches the instance forward pass up to rounding. A user with m history
+    items gets blocks of max(1, min(chunk, BLOCK // (m * max(d, d')))) items.
+    Every block writes its intermediates into one BlockWorkspace, made once
+    per scorer and sized to the largest block, so they live only until the
+    next block and a scorer is not safe to call from two threads at once;
+    the scores returned are a fresh array per user. FISM sums the history
+    first, costing O(n d) instead of O(n m d).
     """
     kind = config.model_kind
     P, Q = params.P, params.Q
     n_items = P.shape[0]
     hist_by_user = split.train.items_by_user
+    width = max(config.d, config.d_prime)
+
+    def rows_for(m: int) -> int:
+        return max(1, min(chunk, n_items, BLOCK // (m * width)))
+
+    workspace = BlockWorkspace(
+        max((rows_for(h.size) * h.size * width for h in hist_by_user if h.size), default=0)
+    )
 
     def score(user: int) -> np.ndarray:
         hist = hist_by_user[user]
@@ -185,10 +209,11 @@ def model_scorer(params: ParameterSet, config: ModelConfig, split: SplitDataset,
         Qh = Q[hist]
         if kind is ModelKind.FISM:
             return hist.size ** (-config.alpha) * (P @ Qh.sum(axis=0))
+        rows = rows_for(hist.size)
         out = np.empty(n_items)
-        for lo in range(0, n_items, chunk):
-            hi = min(lo + chunk, n_items)
-            out[lo:hi] = _score_chunk(kind, config, params, P[lo:hi], Qh, user, lo, hi)
+        for lo in range(0, n_items, rows):
+            hi = min(lo + rows, n_items)
+            out[lo:hi] = _score_chunk(kind, config, params, P[lo:hi], Qh, user, lo, hi, workspace)
         return out
 
     return score
@@ -203,10 +228,11 @@ def _score_chunk(
     user: int,
     lo: int,
     hi: int,
+    workspace: BlockWorkspace,
 ) -> np.ndarray:
     """Scores of items lo..hi-1 (rows Pc of P) for one user with history rows Qh."""
     bias = params.b_user[user] + params.b_item[lo:hi] if kind in DEEP_KINDS else 0.0
-    return forward_block(kind, config, params, Pc, Qh, bias).score
+    return forward_block(kind, config, params, Pc, Qh, bias, workspace).score
 
 
 def baseline_scores(kind: str, split: SplitDataset, seed: int = 0, knn_k: int | None = None):

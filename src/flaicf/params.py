@@ -45,7 +45,7 @@ class CheckpointError(Exception):
 
 
 class CheckpointFormatError(CheckpointError):
-    """The header is not a recognizable checkpoint header."""
+    """The header is not a recognizable checkpoint header, or the body holds a NaN or an infinity."""
 
 
 class CheckpointVersionError(CheckpointError):
@@ -252,7 +252,11 @@ def save_checkpoint(params: ParameterSet, config: ModelConfig, path) -> None:
 
 
 def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
-    """Read a version-1 checkpoint, returning its parameters and config."""
+    """Read a version-1 checkpoint, returning its parameters and config.
+
+    A body holding a NaN or an infinity is a CheckpointFormatError naming
+    the first such array.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     newline = blob.find(b"\n")
@@ -296,4 +300,8 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
             f"body holds {len(body)} bytes, header shapes require {expected_bytes}"
         )
     buffer = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    if not np.isfinite(buffer).all():
+        views = buffer_views(buffer, shapes)
+        bad = next(name for name in shapes if not np.isfinite(views[name]).all())
+        raise CheckpointFormatError(f"array {bad} holds a NaN or an infinity")
     return ParameterSet(buffer, shapes, user_count), config

@@ -6,9 +6,15 @@ forward_block, over a block of candidate targets x history items: the
 shared hidden layer, the item and/or feature softmax, then the
 inner-product or deep-tower head. Training runs it with one candidate
 (forward_cache, which keeps every intermediate the exact backward pass
-needs), ranking with a chunk of items (evaluation.model_scorer), and the
+needs), ranking with blocks of items (evaluation.model_scorer), and the
 attention views read its weights. FISM has no attention and keeps its
 closed form.
+
+Ranking budgets its blocks (evaluation.BLOCK) and writes every candidate
+x history intermediate into one BlockWorkspace that it reuses from block
+to block, so the fields of a cache built on a workspace are valid only
+until the next block. Without a workspace every array is fresh, and a
+one-target cache never shares memory with another.
 
 Empty histories fall back to a constant: 0 for FISM, NAIS and FLA_NAIS,
 and the user-plus-item bias for the DeepICF family.
@@ -16,6 +22,7 @@ and the user-plus-item bias for the DeepICF family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,6 +131,28 @@ def deep_tower(cache: ForwardCache, e: np.ndarray, params: ParameterSet) -> floa
     return u @ params.V
 
 
+class BlockWorkspace:
+    """Arrays that forward_block writes a block's intermediates into.
+
+    One flat buffer per intermediate, allocated on its first use with room
+    for size elements (or the block's need, if larger) and reused by every
+    later block, whatever its shape. A cache built on a workspace holds
+    views of these buffers, valid only until the next block.
+    """
+
+    def __init__(self, size: int = 0):
+        self.size = size
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A view of name's buffer with the given shape."""
+        n = math.prod(shape)
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < n:
+            buf = self.buffers[name] = np.empty(max(n, self.size))
+        return buf[:n].reshape(shape)
+
+
 def forward_block(
     kind: ModelKind,
     config: ModelConfig,
@@ -131,41 +160,61 @@ def forward_block(
     p: np.ndarray,
     Q_hist: np.ndarray,
     bias: float | np.ndarray = 0.0,
+    workspace: BlockWorkspace | None = None,
 ) -> ForwardCache:
     """Forward pass of an attentive kind: one target, or a block of them.
 
     p is the target's row of P (d), or the rows of c candidate targets
     (c x d); Q_hist holds the history's rows of Q (m x d, m >= 1). bias is
     the deep family's user-plus-item bias, one per target. Training runs
-    one target (forward_cache) and ranking a chunk of items; a candidate's
-    score in a chunk equals its one-target score up to rounding.
+    one target (forward_cache) and ranking a block of items; a candidate's
+    score in a block equals its one-target score up to rounding.
+
+    With a workspace, every candidate x history intermediate is written
+    into its buffers, so the cache's fields are valid only until the next
+    block run on it; the score is always a fresh array, bitwise equal to
+    the one computed without a workspace.
     """
+    # `None if ws is None else ws.take(...)` at each use: a call per buffer
+    # would cost one-target training 1-3 us per forward pass
+    ws = workspace
+    if ws is not None:
+        cm = p.shape[:-1] + Q_hist.shape[:1]
+        cmd, cmdp = cm + (Q_hist.shape[1],), cm + (params.W.shape[0],)
     cache = ForwardCache(config=config)
     if kind is ModelKind.NAIS and config.attention_mode is AttentionMode.CONCAT:
-        cache.Z, cache.R = hidden_concat(p, Q_hist, params.W, params.b)
+        out = (None, None) if ws is None else (ws.take("Z", cmdp), ws.take("R", cmdp))
+        cache.Z, cache.R = hidden_concat(p, Q_hist, params.W, params.b, out)
     else:
-        cache.X, cache.Z, cache.R = hidden_prod(p, Q_hist, params.W, params.b)
+        out = (None, None, None) if ws is None else (
+            ws.take("X", cmd), ws.take("Z", cmdp), ws.take("R", cmdp))
+        cache.X, cache.Z, cache.R = hidden_prod(p, Q_hist, params.W, params.b, out)
 
     if kind not in FLA_KINDS or config.design is Design.DESIGN1:
-        cache.item_logits = cache.R @ params.h
-        cache.item = _smoothed_parts(cache.item_logits, config.beta)
+        out = None if ws is None else ws.take("item_logits", cm)
+        cache.item_logits = np.matmul(cache.R, params.h, out=out)
+        out = (None, None) if ws is None else (ws.take("item_exp", cm), ws.take("item_weights", cm))
+        cache.item = _smoothed_parts(cache.item_logits, config.beta, out)
 
     if kind in FLA_KINDS:
-        cache.a_hat = cache.R @ params.H
+        cache.a_hat = np.matmul(cache.R, params.H, out=None if ws is None else ws.take("a_hat", cmd))
         if config.design is Design.DESIGN1:
-            cache.row_s = _row_softmax(cache.a_hat)
-            cache.A = cache.item.weights[..., None] * cache.row_s
+            cache.row_s = _row_softmax(cache.a_hat, None if ws is None else ws.take("row_s", cmd))
+            out = None if ws is None else ws.take("A", cmd)
+            cache.A = np.multiply(cache.item.weights[..., None], cache.row_s, out=out)
         else:
-            cache.cols = _col_smoothed_parts(cache.a_hat, config.beta)
+            out = (None, None) if ws is None else (ws.take("col_exp", cmd), ws.take("A", cmd))
+            cache.cols = _col_smoothed_parts(cache.a_hat, config.beta, out)
             cache.A = cache.cols.weights
 
     if kind is ModelKind.NAIS:
-        cache.inner = p @ Q_hist.T
+        cache.inner = np.matmul(p, Q_hist.T, out=None if ws is None else ws.take("inner", cm))
         # one dot product per candidate; a summed elementwise product
         # would add the terms in another order
         cache.score = (cache.item.weights[..., None, :] @ cache.inner[..., None])[..., 0, 0]
     elif kind is ModelKind.FLA_NAIS:
-        cache.score = (cache.A * cache.X).sum(axis=(-2, -1))
+        out = None if ws is None else ws.take("AX", cmd)
+        cache.score = np.multiply(cache.A, cache.X, out=out).sum(axis=(-2, -1))
     elif kind in DEEP_KINDS:
         weights = cache.A if kind is ModelKind.FLA_DICF else cache.item.weights[..., None]
         cache.e = np.einsum("...md,...md->...d", weights, cache.X)

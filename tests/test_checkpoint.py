@@ -54,15 +54,20 @@ def test_body_is_every_array_in_canonical_order(tmp_path, cfg):
         assert body == b"".join(params.get(name).astype("<f8").tobytes() for name in names)
 
 
-def test_round_trip_preserves_nonfinite_payload(tmp_path):
-    # serialization must not sanitize; diagnosing a diverged run needs the raw bits
+@pytest.mark.parametrize("name,index,value", [("P", (0, 0), np.inf), ("h", (2,), np.nan)],
+                         ids=["inf-in-P", "nan-in-h"])
+def test_save_keeps_a_nonfinite_payload_that_load_rejects(tmp_path, name, index, value):
+    # save does not sanitize, so a diverged run's raw bits stay on disk for
+    # diagnosis; load refuses them and names the array
     cfg = ModelConfig(model_kind=ModelKind.NAIS, d=3, d_prime=3)
     params = init_parameters(cfg, 5, 2, seed=0)
-    params.P[0, 0] = np.inf
+    params.get(name)[index] = value
     path = tmp_path / "bad.ckpt"
     save_checkpoint(params, cfg, path)
-    loaded, _ = load_checkpoint(path)
-    assert np.isinf(loaded.P[0, 0])
+    body = np.frombuffer(path.read_bytes().split(b"\n", 1)[1], dtype="<f8")
+    assert body.tobytes() == params.flat().tobytes()
+    with pytest.raises(CheckpointFormatError, match=f"array {name} holds a NaN or an infinity"):
+        load_checkpoint(path)
 
 
 def test_bad_magic_rejected(tmp_path):

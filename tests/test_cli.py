@@ -189,6 +189,35 @@ def test_corrupt_checkpoint_is_checkpoint_error(prepared, tmp_path, capsys):
     assert "error: category=checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "command,kind",
+    [("evaluate", ModelKind.FISM), ("evaluate", ModelKind.NAIS), ("evaluate", ModelKind.FLA_NAIS),
+     ("export-attention", ModelKind.FLA_NAIS), ("train", ModelKind.FISM)],
+    ids=["evaluate-FISM", "evaluate-NAIS", "evaluate-FLA_NAIS", "export-attention", "train-pretrain"],
+)
+def test_nonfinite_checkpoint_is_checkpoint_error(prepared, tmp_path, capsys, command, kind, value):
+    ckpt = checkpoint_for_vocab(prepared, tmp_path / "m.ckpt", kind)
+    params, cfg = load_checkpoint(ckpt)
+    params.P[1, 2] = value
+    save_checkpoint(params, cfg, ckpt)
+    vocab = (prepared / "user_vocab.txt").read_text().split()
+    items = (prepared / "item_vocab.txt").read_text().split()
+    argv = {
+        "evaluate": ["evaluate", "--checkpoint", str(ckpt)],
+        "export-attention": ["export-attention", "--checkpoint", str(ckpt),
+                             "--user", vocab[0], "--targets", items[0]],
+        "train": ["train", "--model", "FLA_NAIS", "--d", "4", "--epochs", "1",
+                  "--pretrain", "true", "--pretrain_checkpoint", str(ckpt)],
+    }[command]
+    out = tmp_path / "out"
+    code = main(argv + ["--data_dir", str(prepared), "--out_dir", str(out)])
+    assert code == 4
+    assert "error: category=checkpoint array P holds a NaN or an infinity" in capsys.readouterr().err
+    assert not list(out.glob("*.json")) and not list(out.glob("*.ckpt"))
+    assert not list(out.glob("*.csv"))
+
+
 def test_gradcheck_command(capsys):
     code = main(["gradcheck", "--model", "FLA_NAIS", "--design", "DESIGN1",
                  "--d", "6", "--d_prime", "5", "--seed", "1"])

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from flaicf.config import AttentionMode, Design, ModelConfig, ModelKind
+from flaicf.config import DEEP_KINDS, AttentionMode, Design, ModelConfig, ModelKind
 from flaicf.data import split_per_user
 from flaicf.evaluation import (
+    BLOCK,
     MetricsRecord,
     baseline_scores,
     evaluate,
@@ -17,7 +18,7 @@ from flaicf.evaluation import (
     ndcg_at_n,
     rank_items,
 )
-from flaicf.predictors import PredictionContext, predict
+from flaicf.predictors import BlockWorkspace, PredictionContext, forward_block, predict
 from tests.conftest import make_dataset, random_dataset, random_params
 
 
@@ -225,7 +226,14 @@ SCORER_CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("cfg", SCORER_CONFIGS, ids=lambda c: f"{c.model_kind}-{c.design}-{c.attention_mode}")
+ATTENTIVE_CONFIGS = [c for c in SCORER_CONFIGS if c.model_kind is not ModelKind.FISM]
+
+
+def config_id(cfg):
+    return f"{cfg.model_kind}-{cfg.design}-{cfg.attention_mode}"
+
+
+@pytest.mark.parametrize("cfg", SCORER_CONFIGS, ids=config_id)
 def test_batch_scorer_matches_instance_predict(cfg):
     split = split_per_user(random_dataset(37, n_users=8, n_items=14, min_items=4), seed=6)
     params = random_params(cfg, 14, 8, seed=38, scale=0.3)
@@ -240,6 +248,66 @@ def test_batch_scorer_matches_instance_predict(cfg):
             assert scores[i] == pytest.approx(
                 predict(cfg.model_kind, ctx, params, cfg), abs=1e-9
             ), (u, i)
+
+
+def block_bias(cfg, params, user, items):
+    return params.b_user[user] + params.b_item[items] if cfg.model_kind in DEEP_KINDS else 0.0
+
+
+@pytest.mark.parametrize("cfg", ATTENTIVE_CONFIGS, ids=config_id)
+def test_forward_block_workspace_is_bitwise_and_reused(cfg):
+    params = random_params(cfg, 14, 3, seed=42, scale=0.3)
+    workspace = BlockWorkspace()
+    first = None
+    for c, hist in ((6, [7, 8, 9, 10, 11]), (4, [8, 12, 13])):
+        args = (cfg.model_kind, cfg, params, params.P[:c], params.Q[hist],
+                block_bias(cfg, params, 1, slice(0, c)))
+        fresh = forward_block(*args)
+        cache = forward_block(*args, workspace)
+        np.testing.assert_array_equal(cache.score, fresh.score)
+        np.testing.assert_array_equal(cache.R, fresh.R)
+        assert np.shares_memory(cache.R, workspace.buffers["R"])
+        assert not any(np.shares_memory(cache.score, buf) for buf in workspace.buffers.values())
+        if first is None:
+            first = dict(workspace.buffers)
+    # the smaller second block reuses every buffer of the first
+    assert workspace.buffers.keys() == first.keys()
+    assert all(workspace.buffers[name] is buf for name, buf in first.items())
+
+
+def long_history_split():
+    """6 users with 60-80 of 400 items, so every history forces several scoring blocks."""
+    return split_per_user(random_dataset(43, n_users=6, n_items=400, min_items=60, max_items=80), seed=8)
+
+
+@pytest.mark.parametrize("cfg", ATTENTIVE_CONFIGS, ids=config_id)
+def test_blocked_scorer_matches_one_block(cfg):
+    split = long_history_split()
+    params = random_params(cfg, 400, 6, seed=44, scale=0.3)
+    scorer = model_scorer(params, cfg, split)
+    for user in range(6):
+        hist = split.train.items_by_user[user]
+        assert BLOCK // (hist.size * max(cfg.d, cfg.d_prime)) <= 400 // 3  # three blocks or more
+        whole = forward_block(cfg.model_kind, cfg, params, params.P, params.Q[hist],
+                              block_bias(cfg, params, user, slice(None))).score
+        blocked = scorer(user)
+        np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=0.0)
+        top = lambda scores: np.argsort(-scores, kind="stable")[:10]
+        np.testing.assert_array_equal(top(blocked), top(whole))
+
+
+@pytest.mark.parametrize("cfg", ATTENTIVE_CONFIGS, ids=config_id)
+def test_scores_never_alias_the_workspace(cfg):
+    split = long_history_split()
+    params = random_params(cfg, 400, 6, seed=45, scale=0.3)
+    scorer = model_scorer(params, cfg, split)
+    first = scorer(0)
+    kept = first.copy()
+    other = scorer(1)
+    again = scorer(0)
+    assert not np.array_equal(other, kept)
+    np.testing.assert_array_equal(first, kept)
+    np.testing.assert_array_equal(again, kept)
 
 
 def test_batch_scorer_empty_history_fallbacks():
@@ -257,11 +325,15 @@ def test_batch_scorer_empty_history_fallbacks():
 
 
 def test_parallel_evaluation_matches_serial():
-    split = split_per_user(random_dataset(40, n_users=16, n_items=18, min_items=5), seed=7)
     cfg = ModelConfig(model_kind=ModelKind.FLA_NAIS, d=4, d_prime=4)
-    params = random_params(cfg, 18, 16, seed=41, scale=0.2)
-    serial = evaluate_model(params, cfg, split, on="test", n=5, workers=1)
-    parallel = evaluate_model(params, cfg, split, on="test", n=5, workers=2)
-    assert serial.hr == parallel.hr
-    assert serial.ndcg == parallel.ndcg
-    assert serial.users_evaluated == parallel.users_evaluated
+    # 5-12 of 18 items fit one scoring block; 60-80 of 400 items force several
+    for n_items, min_items, max_items in ((18, 5, 12), (400, 60, 80)):
+        dataset = random_dataset(40, n_users=16, n_items=n_items, min_items=min_items,
+                                 max_items=max_items)
+        split = split_per_user(dataset, seed=7)
+        params = random_params(cfg, n_items, 16, seed=41, scale=0.2)
+        serial = evaluate_model(params, cfg, split, on="test", n=5, workers=1)
+        parallel = evaluate_model(params, cfg, split, on="test", n=5, workers=2)
+        assert serial.hr == parallel.hr
+        assert serial.ndcg == parallel.ndcg
+        assert serial.users_evaluated == parallel.users_evaluated
