@@ -330,6 +330,8 @@ def cmd_evaluate(config: RunConfig, suffix: str = "") -> dict:
     n = config.values["eval_n"]
     if n < 1:
         raise ConfigError(f"eval_n must be >= 1, got {n}")
+    if config.values["eval_workers"] < 1:
+        raise ConfigError(f"eval_workers must be >= 1, got {config.values['eval_workers']}")
     if config.values["baseline"]:
         scorer = baseline_scores(
             config.values["baseline"],

@@ -41,7 +41,6 @@ class AttentionMode(str, Enum):
 
 DEEP_KINDS = frozenset({ModelKind.DEEPICF, ModelKind.FLA_DICF})
 FLA_KINDS = frozenset({ModelKind.FLA_NAIS, ModelKind.FLA_DICF})
-ATTENTIVE_KINDS = frozenset(ModelKind) - {ModelKind.FISM}
 
 
 @dataclass(frozen=True)

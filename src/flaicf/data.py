@@ -97,25 +97,18 @@ def _dataset_from_pairs(raw_pairs: list[tuple[str, str]]) -> InteractionDataset:
     )
 
 
-def parse_interactions(
-    path,
-    fmt: str = "MOVIELENS_DAT",
-    delimiter: str | None = None,
-    user_col: int = 0,
-    item_col: int = 1,
-) -> InteractionDataset:
+def parse_interactions(path, fmt: str = "MOVIELENS_DAT") -> InteractionDataset:
     """Parse a raw interaction file into a dense-indexed dataset.
 
+    The user is a line's first field and the item its second.
     Duplicate (user, item) pairs are collapsed to the first occurrence.
     A line with too few fields raises DataFormatError naming the line.
     """
     fmt = fmt.upper()
-    if delimiter is None:
-        try:
-            delimiter = FORMAT_DELIMITERS[fmt]
-        except KeyError:
-            raise DataFormatError(f"unknown format {fmt!r}; expected one of {sorted(FORMAT_DELIMITERS)}")
-    need = max(user_col, item_col) + 1
+    try:
+        delimiter = FORMAT_DELIMITERS[fmt]
+    except KeyError:
+        raise DataFormatError(f"unknown format {fmt!r}; expected one of {sorted(FORMAT_DELIMITERS)}")
     raw_pairs: list[tuple[str, str]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -123,12 +116,12 @@ def parse_interactions(
             if not line:
                 continue
             fields = line.split(delimiter)
-            if len(fields) < need:
+            if len(fields) < 2:
                 raise DataFormatError(
-                    f"{path}:{lineno}: expected at least {need} fields separated by "
+                    f"{path}:{lineno}: expected at least 2 fields separated by "
                     f"{delimiter!r}, got {len(fields)}"
                 )
-            raw_pairs.append((fields[user_col], fields[item_col]))
+            raw_pairs.append((fields[0], fields[1]))
     if not raw_pairs:
         raise EmptyDatasetError(f"{path} holds no interactions")
     return _dataset_from_pairs(raw_pairs)
@@ -310,19 +303,24 @@ def load_split(data_dir) -> SplitDataset:
             item_ids=item_ids,
             items_by_user=[np.array(sorted(xs), dtype=np.int64) for xs in by_user],
         )
-    meta = {}
-    with open(root / "split_meta.txt", "r", encoding="utf-8") as fh:
-        for line in fh:
-            if "=" in line:
-                key, value = line.strip().split("=", 1)
-                meta[key] = value
-    ratios = tuple(float(x) for x in meta.get("ratios", "0.7,0.1,0.2").split(","))
+    ratios, seed = (0.7, 0.1, 0.2), 0
+    path = root / "split_meta.txt"
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            key, _, value = line.strip().partition("=")
+            try:
+                if key == "ratios":
+                    ratios = tuple(float(x) for x in value.split(","))
+                elif key == "seed":
+                    seed = int(value)
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: bad {key} {value!r}") from exc
     return SplitDataset(
         train=views["train"],
         valid=views["valid"],
         test=views["test"],
         ratios=ratios,
-        seed=int(meta.get("seed", "0")),
+        seed=seed,
     )
 
 

@@ -170,17 +170,22 @@ def _mean_metrics(results, on: str, n: int) -> MetricsRecord:
 # block of all 150 items, on the benchmark's `long` workload (FLA_NAIS
 # Design 2, median history 39; 2 CPUs, OpenBLAS 0.3.31), medians of 10
 # runs: pooled ranking 131 -> 347 users/s, serial 380 -> 440 users/s.
+# The blocks must share one BlockWorkspace: glibc returns freed
+# temporaries of this size to the OS, so a fresh set per block is faulted
+# in again every block. Ranking that split in a fresh process (glibc 2.36)
+# took 27-44 ms with the workspace, 56-72 ms without it, and 31-40 ms
+# without it under MALLOC_TRIM_THRESHOLD_=64MB.
 BLOCK = 2**14
 
 
-def model_scorer(params: ParameterSet, config: ModelConfig, split: SplitDataset, chunk: int = 1024):
+def model_scorer(params: ParameterSet, config: ModelConfig, split: SplitDataset):
     """Score every item for a user, block by block of items.
 
     The history is the user's training positives; eval candidates are never
     in it, so no per-candidate exclusion is needed. An attentive model runs
     predictors.forward_block over each block of items (_score_chunk), which
     matches the instance forward pass up to rounding. A user with m history
-    items gets blocks of max(1, min(chunk, BLOCK // (m * max(d, d')))) items.
+    items gets blocks of max(1, BLOCK // (m * max(d, d'))) items.
     Every block writes its intermediates into one BlockWorkspace, made once
     per scorer and sized to the largest block, so they live only until the
     next block and a scorer is not safe to call from two threads at once;
@@ -194,7 +199,7 @@ def model_scorer(params: ParameterSet, config: ModelConfig, split: SplitDataset,
     width = max(config.d, config.d_prime)
 
     def rows_for(m: int) -> int:
-        return max(1, min(chunk, n_items, BLOCK // (m * width)))
+        return max(1, min(n_items, BLOCK // (m * width)))
 
     workspace = BlockWorkspace(
         max((rows_for(h.size) * h.size * width for h in hist_by_user if h.size), default=0)
@@ -332,8 +337,9 @@ def evaluate_model(
     if workers <= 1 or users.size < 4 or os.name == "nt":
         return evaluate(model_scorer(params, config, split), split, on, n)
     chunks = [c for c in np.array_split(users, workers * 4) if c.size]
+    # a fork-started pool starts all max_workers processes at the first submit
     with ProcessPoolExecutor(
-        max_workers=workers,
+        max_workers=min(workers, len(chunks)),
         initializer=_init_worker,
         initargs=(params, config, split, on, n),
     ) as pool:

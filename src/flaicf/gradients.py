@@ -36,7 +36,7 @@ from .config import (
     ModelConfig,
     ModelKind,
 )
-from .params import BIAS, PQ, SHARED, ParameterSet, array_shapes, buffer_views
+from .params import BIAS, PQ, SHARED, ParameterSet, array_shapes
 from .predictors import ForwardCache, PredictionContext, forward_cache, predict
 
 SIGMOID_CLAMP = 1e-12
@@ -76,29 +76,10 @@ class GradientSet:
 
     def by_array(self, params: ParameterSet) -> dict[str, np.ndarray]:
         """Every array of params by name, holding the sum of the entries that write it, else 0."""
-        views = buffer_views(np.zeros_like(params.flat()), params.shapes())
+        total = params.zeros_like()
         for name, idx, grad, _ in self.segments:
-            np.add.at(views[name], idx, grad)
-        return {name: views[name] for name in params.shapes()}
-
-
-@dataclass
-class Workspace:
-    """What backward reuses from one instance to the next.
-
-    A gradient buffer laid out like the parameters': its SHARED segment,
-    which backward fills, and its views by array name. train builds one
-    per run; backward builds its own when given none, so its results
-    never share memory with earlier ones.
-    """
-
-    shared: np.ndarray
-    views: dict[str, np.ndarray]
-
-    @classmethod
-    def for_params(cls, params: ParameterSet) -> "Workspace":
-        views = buffer_views(np.empty_like(params.flat()), params.shapes())
-        return cls(views[SHARED], views)
+            np.add.at(total.get(name), idx, grad)
+        return dict(total.arrays())
 
 
 def _smoothed_vjp(parts: SmoothedSoftmax, dw: np.ndarray, beta: float) -> np.ndarray:
@@ -112,13 +93,13 @@ def _row_softmax_vjp(s: np.ndarray, ds: np.ndarray) -> np.ndarray:
     return s * (ds - (s * ds).sum(axis=1, keepdims=True))
 
 
-def _deep_vjp(cache: ForwardCache, params: ParameterSet, g: float, views: dict) -> np.ndarray:
+def _deep_vjp(cache: ForwardCache, params: ParameterSet, g: float, ws: ParameterSet) -> np.ndarray:
     """Backward through the ReLU tower and final regression; returns de."""
-    np.multiply(g, cache.deep_u[-1], out=views["V"])
+    np.multiply(g, cache.deep_u[-1], out=ws.V)
     du = g * params.V
     for l in range(len(params.deep_W) - 1, -1, -1):
-        dz = np.multiply(du, cache.deep_z[l] > 0.0, out=views[f"deep_b.{l}"])
-        np.multiply(dz[:, None], cache.deep_u[l], out=views[f"deep_W.{l}"])
+        dz = np.multiply(du, cache.deep_z[l] > 0.0, out=ws.deep_b[l])
+        np.multiply(dz[:, None], cache.deep_u[l], out=ws.deep_W[l])
         du = params.deep_W[l].T @ dz
     return du
 
@@ -129,20 +110,20 @@ def backward(
     params: ParameterSet,
     config: ModelConfig,
     l2: float = 0.0,
-    workspace: Workspace | None = None,
+    workspace: ParameterSet | None = None,
 ) -> GradientSet:
     """Exact gradient of the per-instance objective at the cached forward.
 
-    The shared arrays' gradients are written into the workspace's vector
-    laid out like the SHARED segment (a fresh workspace's when none is
-    given), the P and Q rows into one block, and the l2 term is added to
-    each with one operation.
+    The shared arrays' gradients are written into the SHARED segment of
+    workspace, a set laid out like params (params.zeros_like() when none
+    is given, so the result shares no memory with earlier ones); the P
+    and Q rows go into one block, and the l2 term is added to each with
+    one operation. train passes one workspace for every step of a run.
     """
     kind = config.model_kind
     ctx = cache.ctx
     g = score_grad(cache.score, label)
     decay = 2.0 * l2
-    ws = Workspace.for_params(params) if workspace is None else workspace
     entries: list = []
     grads = GradientSet(entries)
 
@@ -171,7 +152,8 @@ def backward(
             dpq += decay * pq
         return grads
 
-    views, flat = ws.views, ws.shared
+    ws = params.zeros_like() if workspace is None else workspace
+    flat = ws.get(SHARED)
     entries.append((SHARED, ..., flat, params.get(SHARED)))
 
     concat = kind is ModelKind.NAIS and config.attention_mode is AttentionMode.CONCAT
@@ -189,12 +171,12 @@ def backward(
         dA = g * cache.X
         dX = g * cache.A
     elif kind is ModelKind.DEEPICF:
-        de = _deep_vjp(cache, params, g, views)
+        de = _deep_vjp(cache, params, g, ws)
         w = cache.item.weights
         dw = cache.X @ de
         dX = w[:, None] * de[None, :]
     elif kind is ModelKind.FLA_DICF:
-        de = _deep_vjp(cache, params, g, views)
+        de = _deep_vjp(cache, params, g, ws)
         dA = cache.X * de[None, :]
         dX = cache.A * de[None, :]
     else:
@@ -207,30 +189,30 @@ def backward(
             ds = cache.item.weights[:, None] * dA
             da_hat = _row_softmax_vjp(cache.row_s, ds)
             dv = _smoothed_vjp(cache.item, db_item, beta)
-            np.matmul(cache.R.T, da_hat, out=views["H"])
-            np.matmul(cache.R.T, dv, out=views["h"])
+            np.matmul(cache.R.T, da_hat, out=ws.H)
+            np.matmul(cache.R.T, dv, out=ws.h)
             dR = da_hat @ params.H.T + dv[:, None] * params.h[None, :]
         else:
             da_hat = _smoothed_vjp(cache.cols, dA, beta)
-            np.matmul(cache.R.T, da_hat, out=views["H"])
+            np.matmul(cache.R.T, da_hat, out=ws.H)
             dR = da_hat @ params.H.T
     else:
         dv = _smoothed_vjp(cache.item, dw, beta)
-        np.matmul(cache.R.T, dv, out=views["h"])
+        np.matmul(cache.R.T, dv, out=ws.h)
         dR = dv[:, None] * params.h[None, :]
 
     # Shared hidden layer backward.
     dZ = dR * cache.M
-    dZ.sum(axis=0, out=views["b"])
+    dZ.sum(axis=0, out=ws.b)
     if concat:
         d = config.d
         dz_total = dZ.sum(axis=0)
-        views["W"][:, :d] = np.outer(dz_total, p)
-        views["W"][:, d:] = dZ.T @ Qh
+        ws.W[:, :d] = np.outer(dz_total, p)
+        ws.W[:, d:] = dZ.T @ Qh
         dp += dz_total @ params.W[:, :d]
         dQh += dZ @ params.W[:, d:]
     else:
-        np.matmul(dZ.T, cache.X, out=views["W"])
+        np.matmul(dZ.T, cache.X, out=ws.W)
         dX = dZ @ params.W if dX is None else dX + dZ @ params.W
         dp += (dX * Qh).sum(axis=0)
         dQh += dX * p[None, :]
@@ -352,12 +334,10 @@ def _random_check_params(config: ModelConfig, item_count: int, user_count: int, 
     # O(1) parameter scale: at the production init scale (0.01) true
     # gradients sit near the finite difference noise floor and no correct
     # implementation could meet the tolerance.
-    shapes = array_shapes(config, item_count, user_count)
-    params = ParameterSet(np.empty(sum(math.prod(s) for s in shapes.values())), shapes, user_count)
-    for name, shape in shapes.items():
-        scale = 0.3 if name.startswith(("b", "deep_b")) else 0.5
-        params.get(name)[...] = rng.normal(0.0, scale, size=shape)
-    return params
+    return ParameterSet.from_arrays(user_count, **{
+        name: rng.normal(0.0, 0.3 if name.startswith(("b", "deep_b")) else 0.5, size=shape)
+        for name, shape in array_shapes(config, item_count, user_count).items()
+    })
 
 
 def _margins_ok(cache: ForwardCache, step: float) -> bool:

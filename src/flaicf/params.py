@@ -8,7 +8,9 @@ the set is built, and are assigned into, never rebound. In that order
 the buffer falls into three segments, which the optimizer updates with
 one expression each: PQ, the (2n x d) row table of P then Q; SHARED,
 every array from W to V as one vector; and BIAS, b_user then b_item
-(deep kinds only).
+(deep kinds only). The Adagrad accumulators and backward's gradients
+share this layout: each is a ParameterSet.zeros_like() of the parameters,
+and only this module splits a buffer into arrays and segments.
 
 Checkpoint layout (external format, version 1): a single text header line
 
@@ -92,23 +94,6 @@ SHARED = "shared"
 BIAS = "b_user+b_item"
 
 
-def buffer_views(buffer: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-    """Views into buffer: every array of shapes (canonical order), then the segments."""
-    views, offset = {}, 0
-    for name, shape in shapes.items():
-        size = math.prod(shape)
-        views[name] = buffer[offset : offset + size].reshape(shape)
-        offset += size
-    if "P" in shapes:
-        n, d = shapes["P"]
-        views[PQ] = buffer[: 2 * n * d].reshape(2 * n, d)
-        stop = offset - (shapes["b_user"][0] + shapes["b_item"][0] if "b_user" in shapes else 0)
-        views[SHARED] = buffer[2 * n * d : stop]
-        if "b_user" in shapes:
-            views[BIAS] = buffer[stop:offset]
-    return views
-
-
 def _is_bias(name: str) -> bool:
     return name == "b" or name.startswith("deep_b") or name in ("b_user", "b_item")
 
@@ -123,7 +108,18 @@ class ParameterSet:
     """
 
     def __init__(self, buffer: np.ndarray, shapes: dict[str, tuple[int, ...]], n_users: int):
-        views = buffer_views(buffer, shapes)
+        views, offset = {}, 0
+        for name, shape in shapes.items():
+            size = math.prod(shape)
+            views[name] = buffer[offset : offset + size].reshape(shape)
+            offset += size
+        if "P" in shapes:
+            n, d = shapes["P"]
+            views[PQ] = buffer[: 2 * n * d].reshape(2 * n, d)
+            stop = offset - (shapes["b_user"][0] + shapes["b_item"][0] if "b_user" in shapes else 0)
+            views[SHARED] = buffer[2 * n * d : stop]
+            if "b_user" in shapes:
+                views[BIAS] = buffer[stop:offset]
         self.__dict__.update(
             {name: views.get(name) for name in ("P", "Q", "W", "b", "H", "h", "V", "b_user", "b_item")},
             deep_W=tuple(views[name] for name in shapes if name.startswith("deep_W.")),
@@ -170,6 +166,10 @@ class ParameterSet:
     def copy(self) -> "ParameterSet":
         return ParameterSet(self._buffer.copy(), self._shapes, self.n_users)
 
+    def zeros_like(self) -> "ParameterSet":
+        """A set of the same shapes and n_users on a zero buffer."""
+        return ParameterSet(np.zeros_like(self._buffer), self._shapes, self.n_users)
+
     def sum_squares(self) -> float:
         # per array, so the reported loss keeps its summation order
         return float(sum(np.sum(a * a) for _, a in self.arrays()))
@@ -204,11 +204,11 @@ def init_parameters(
         raise ValueError(f"need at least one item and one user, got {item_count}, {user_count}")
     rng = np.random.default_rng(seed)
     shapes = array_shapes(config, item_count, user_count)
-    buffer = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
-    views = buffer_views(buffer, shapes)
+    size = sum(math.prod(shape) for shape in shapes.values())
+    params = ParameterSet(np.zeros(size), shapes, user_count)
     for name, shape in shapes.items():
         if not _is_bias(name):
-            views[name][...] = rng.normal(0.0, INIT_STD, size=shape)
+            params.get(name)[...] = rng.normal(0.0, INIT_STD, size=shape)
     if pretrained is not None:
         p, q = pretrained
         expected = (item_count, config.d)
@@ -216,9 +216,9 @@ def init_parameters(
             raise ValueError(
                 f"pretrained embeddings shaped {p.shape} and {q.shape}, expected {expected}"
             )
-        views["P"][...] = p
-        views["Q"][...] = q
-    return ParameterSet(buffer, shapes, user_count)
+        params.P[...] = p
+        params.Q[...] = q
+    return params
 
 
 def _format_header(config: ModelConfig, item_count: int, user_count: int) -> str:
@@ -299,9 +299,8 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
         raise CheckpointSizeError(
             f"body holds {len(body)} bytes, header shapes require {expected_bytes}"
         )
-    buffer = np.frombuffer(body, dtype="<f8").astype(np.float64)
-    if not np.isfinite(buffer).all():
-        views = buffer_views(buffer, shapes)
-        bad = next(name for name in shapes if not np.isfinite(views[name]).all())
+    params = ParameterSet(np.frombuffer(body, dtype="<f8").astype(np.float64), shapes, user_count)
+    if not params.all_finite():
+        bad = next(name for name, arr in params.arrays() if not np.isfinite(arr).all())
         raise CheckpointFormatError(f"array {bad} holds a NaN or an infinity")
-    return ParameterSet(buffer, shapes, user_count), config
+    return params, config

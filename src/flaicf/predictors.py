@@ -137,7 +137,9 @@ class BlockWorkspace:
     One flat buffer per intermediate, allocated on its first use with room
     for size elements (or the block's need, if larger) and reused by every
     later block, whatever its shape. A cache built on a workspace holds
-    views of these buffers, valid only until the next block.
+    views of these buffers, valid only until the next block. Reuse is what
+    keeps ranking fast: glibc gives freed block-sized temporaries back to
+    the OS, so fresh ones are faulted in again every block (evaluation.BLOCK).
     """
 
     def __init__(self, size: int = 0):

@@ -6,17 +6,18 @@ applies one Adagrad update per instance using the exact gradients from
 the gradients module. The parameters and the accumulators each live in
 one buffer (params module), so an update is one expression per buffer
 segment the instance touched, however many arrays the model has; it
-flushes parameters below the smallest normal float64 to 0. Every step of
-a run shares one gradients.Workspace, and the P/Q rows its forward pass
-gathers serve backward and the update too. Validation HR and NDCG are
-computed after every epoch; training returns the parameters of the best
-validation-HR epoch.
+flushes parameters below the smallest normal float64 to 0. The
+accumulators and backward's gradient workspace are ParameterSets on zero
+buffers (ParameterSet.zeros_like), one of each per run, and the P/Q rows
+an instance's forward pass gathers serve backward and the update too.
+Validation HR and NDCG are computed after every epoch; training returns
+the parameters of the best validation-HR epoch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -24,13 +25,12 @@ import numpy as np
 from .attention import NonFiniteError
 from .config import ModelConfig, ModelKind, TrainConfig
 from .evaluation import MetricsRecord, evaluate_model
-from .gradients import GradcheckReport, GradientSet, Workspace, backward, gradcheck, instance_data_loss
-from .params import PQ, ParameterSet, buffer_views, init_parameters
+from .gradients import GradcheckReport, GradientSet, backward, gradcheck, instance_data_loss
+from .params import PQ, ParameterSet, init_parameters
 from .predictors import PredictionContext, forward_cache
 
 __all__ = [
     "TrainingDivergedError",
-    "OptimizerState",
     "log_loss",
     "adagrad_step",
     "sample_negatives",
@@ -50,21 +50,6 @@ TINY = np.finfo(np.float64).tiny
 
 class TrainingDivergedError(RuntimeError):
     """A logit, score, loss or parameter became NaN or infinite during training."""
-
-
-@dataclass
-class OptimizerState:
-    """Adagrad squared-gradient accumulators, in one buffer laid out like the parameters'.
-
-    acc holds its views by name: one per parameter array, and the
-    buffer's segments (PQ, SHARED, BIAS).
-    """
-
-    acc: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @classmethod
-    def for_params(cls, params: ParameterSet) -> "OptimizerState":
-        return cls(acc=buffer_views(np.zeros_like(params.flat()), params.shapes()))
 
 
 def log_loss(scores, labels, l2: float = 0.0, params: ParameterSet | None = None) -> float:
@@ -88,22 +73,23 @@ def log_loss(scores, labels, l2: float = 0.0, params: ParameterSet | None = None
 def adagrad_step(
     params: ParameterSet,
     grads: GradientSet,
-    state: OptimizerState,
+    state: ParameterSet,
     learning_rate: float,
     epsilon: float = 1e-8,
 ) -> None:
     """In-place update: acc += g^2; theta -= lr * g / (sqrt(acc) + eps).
 
-    One update expression per entry of grads.segments: the SHARED segment
-    (or a whole array) is updated in place, indexed rows (P/Q, the deep
-    family's biases) from the values backward read. Parameters no entry
-    names are left as they are. Every theta the update writes whose
-    magnitude falls below TINY becomes 0: l2 decays the weights of dead
-    ReLU units toward zero, and subnormal values slow every later product
-    they enter.
+    state holds the accumulators acc, laid out like params (a
+    params.zeros_like() before the first step). One update expression per
+    entry of grads.segments: the SHARED segment (or a whole array) is
+    updated in place, indexed rows (P/Q, the deep family's biases) from
+    the values backward read. Parameters no entry names are left as they
+    are. Every theta the update writes whose magnitude falls below TINY
+    becomes 0: l2 decays the weights of dead ReLU units toward zero, and
+    subnormal values slow every later product they enter.
     """
     for name, idx, grad, theta in grads.segments:
-        acc = state.acc[name]
+        acc = state.get(name)
         if idx is ...:
             acc += grad * grad
             theta -= learning_rate * grad / (np.sqrt(acc) + epsilon)
@@ -186,8 +172,8 @@ def train(
     n_items = split.train.item_count
     n_users = split.train.user_count
     params = init_parameters(model_config, n_items, n_users, train_config.seed, pretrained)
-    state = OptimizerState.for_params(params)
-    workspace = Workspace.for_params(params)
+    state = params.zeros_like()
+    workspace = params.zeros_like()
     pq = params.get(PQ)
     rng = np.random.default_rng(train_config.seed)
     pos_by_user = split.train.items_by_user

@@ -350,6 +350,7 @@ MALFORMED_VALUES = {
     "evaluate-baseline": ["evaluate", "--baseline", "FOO"],
     "evaluate-eval_n": ["evaluate", "--baseline", "POP", "--eval_n", "0"],
     "evaluate-knn_k": ["evaluate", "--baseline", "ITEMKNN", "--knn_k", "-3"],
+    "evaluate-eval_workers": ["evaluate", "--baseline", "POP", "--eval_workers", "0"],
     "prepare-k_user": ["prepare", "--k_user", "0"],
     "prepare-ratios-sum": ["prepare", "--ratios", "0.5,0.5"],
     "prepare-ratios-text": ["prepare", "--ratios", "a,b,c"],
@@ -389,6 +390,22 @@ def test_out_of_range_split_ids_are_data_errors(prepared, tmp_path, capsys, bad_
     with open(train_txt, "a", encoding="utf-8") as fh:
         fh.write(bad_pair.format(users=users) + "\n")
     where = f"train.txt:{len(train_txt.read_text().splitlines())}:"
+    with pytest.raises(DataFormatError, match=re.escape(where)):
+        load_split(prepared)
+    assert run_train(prepared, tmp_path / "run") == 3
+    err = capsys.readouterr().err
+    assert "error: category=data" in err and where in err
+
+
+@pytest.mark.parametrize("bad_line", ["seed=x", "ratios=a,b,c"], ids=["seed", "ratios"])
+def test_malformed_split_meta_is_a_data_error(prepared, tmp_path, capsys, bad_line):
+    from flaicf.data import DataFormatError, load_split
+
+    meta = prepared / "split_meta.txt"
+    lines = [line for line in meta.read_text().splitlines()
+             if line.partition("=")[0] != bad_line.partition("=")[0]]
+    meta.write_text("\n".join([*lines, bad_line]) + "\n")
+    where = f"split_meta.txt:{len(lines) + 1}:"
     with pytest.raises(DataFormatError, match=re.escape(where)):
         load_split(prepared)
     assert run_train(prepared, tmp_path / "run") == 3

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from flaicf import evaluation
 from flaicf.config import DEEP_KINDS, AttentionMode, Design, ModelConfig, ModelKind
 from flaicf.data import split_per_user
 from flaicf.evaluation import (
@@ -234,10 +235,11 @@ def config_id(cfg):
 
 
 @pytest.mark.parametrize("cfg", SCORER_CONFIGS, ids=config_id)
-def test_batch_scorer_matches_instance_predict(cfg):
+def test_batch_scorer_matches_instance_predict(cfg, monkeypatch):
     split = split_per_user(random_dataset(37, n_users=8, n_items=14, min_items=4), seed=6)
     params = random_params(cfg, 14, 8, seed=38, scale=0.3)
-    scorer = model_scorer(params, cfg, split, chunk=5)  # force chunk boundaries
+    monkeypatch.setattr(evaluation, "BLOCK", 64)  # at most 12 of the 14 items per block
+    scorer = model_scorer(params, cfg, split)
     for u in range(8):
         scores = scorer(u)
         history = split.train.items_by_user[u]
@@ -322,6 +324,37 @@ def test_batch_scorer_empty_history_fallbacks():
     nais_cfg = ModelConfig(model_kind=ModelKind.NAIS, d=4, d_prime=4)
     nais_params = random_params(nais_cfg, 5, 2, seed=40)
     np.testing.assert_array_equal(model_scorer(nais_params, nais_cfg, split)(1), np.zeros(5))
+
+
+def test_pool_is_capped_at_the_chunk_count(monkeypatch):
+    started = []
+
+    class InlinePool:
+        """Records max_workers and runs the initializer and map in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    cfg = ModelConfig(model_kind=ModelKind.NAIS, d=4, d_prime=4)
+    split = split_per_user(random_dataset(43, n_users=6, n_items=12, min_items=4), seed=7)
+    params = random_params(cfg, 12, 6, seed=44, scale=0.2)
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(evaluation, "_WORKER_STATE", {})
+    serial = evaluate_model(params, cfg, split, on="test", n=5, workers=1)
+    pooled = evaluate_model(params, cfg, split, on="test", n=5, workers=500)
+    # 6 users make 6 one-user chunks
+    assert started == [serial.users_evaluated] == [6]
+    assert (pooled.hr, pooled.ndcg) == (serial.hr, serial.ndcg)
 
 
 def test_parallel_evaluation_matches_serial():

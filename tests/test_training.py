@@ -11,7 +11,6 @@ from flaicf.evaluation import evaluate_model
 from flaicf.gradients import GradientSet, backward, instance_data_loss, touched_parameters
 from flaicf.params import init_parameters, params_equal
 from flaicf.training import (
-    OptimizerState,
     adagrad_step,
     epoch_instances,
     history_for,
@@ -63,7 +62,7 @@ def one_param_setup(value: float):
     params = init_parameters(cfg, 1, 1, seed=0)
     params.P[:] = value
     params.Q[:] = 0.0
-    state = OptimizerState.for_params(params)
+    state = params.zeros_like()
     return params, state
 
 
@@ -76,7 +75,7 @@ def test_adagrad_first_step_normalizes_to_lr():
     params, state = one_param_setup(1.0)
     adagrad_step(params, grad_of(params, 3.0), state, learning_rate=0.1, epsilon=0.0)
     assert params.P[0, 0] == pytest.approx(0.9, rel=1e-12)
-    assert state.acc["P"][0, 0] == pytest.approx(9.0)
+    assert state.get("P")[0, 0] == pytest.approx(9.0)
 
 
 def test_adagrad_two_unit_steps():
@@ -91,9 +90,9 @@ def test_adagrad_two_unit_steps():
 def test_adagrad_accumulator_never_decreases():
     cfg = ModelConfig(model_kind=ModelKind.NAIS, d=4, d_prime=4)
     params = random_params(cfg, 6, 1, seed=1)
-    state = OptimizerState.for_params(params)
+    state = params.zeros_like()
     rng = np.random.default_rng(1)
-    prev = {k: v.copy() for k, v in state.acc.items()}
+    prev = {k: v.copy() for k, v in state.arrays()}
     for _ in range(20):
         grads = GradientSet([
             ("W", ..., rng.normal(size=params.W.shape), params.W),
@@ -102,15 +101,15 @@ def test_adagrad_accumulator_never_decreases():
         ])
         adagrad_step(params, grads, state, 0.01)
         for name in ("W", "h", "P"):
-            assert np.all(state.acc[name] >= prev[name] - 1e-15)
-            prev[name] = state.acc[name].copy()
+            assert np.all(state.get(name) >= prev[name] - 1e-15)
+            prev[name] = state.get(name).copy()
 
 
 def test_adagrad_sparse_rows_only_touch_their_rows():
     cfg = ModelConfig(model_kind=ModelKind.FISM, d=3)
     params = init_parameters(cfg, 5, 1, seed=2)
     before = params.Q.copy()
-    state = OptimizerState.for_params(params)
+    state = params.zeros_like()
     rows = np.array([1, 3])
     grads = GradientSet([("Q", rows, np.ones((2, 3)), params.Q[rows])])
     adagrad_step(params, grads, state, 0.5)
@@ -125,7 +124,7 @@ def test_pure_regularization_step_shrinks_parameters():
     cfg = ModelConfig(model_kind=ModelKind.FISM, d=4)
     params = random_params(cfg, 6, 1, seed=3)
     l2, lr = 0.1, 1e-3
-    state = OptimizerState.for_params(params)
+    state = params.zeros_like()
     before_p = params.P.copy()
     grads = GradientSet([("P", np.arange(6), 2 * l2 * params.P, params.P.copy())])
     adagrad_step(params, grads, state, lr)
@@ -325,7 +324,7 @@ def test_segment_update_equals_per_array_update(cfg):
     flat = init_parameters(cfg, n_items, n_users, seed=1)
     flat.flat()[:] = np.random.default_rng(2).normal(0.0, 0.5, size=flat.flat().size)
     split = flat.copy()
-    state_flat = OptimizerState.for_params(flat)
+    state_flat = flat.zeros_like()
     acc_split = {name: np.zeros_like(arr) for name, arr in split.arrays()}
     rng = np.random.default_rng(3)
     for _ in range(40):
@@ -339,7 +338,7 @@ def test_segment_update_equals_per_array_update(cfg):
         per_array_adagrad(split, grads, ctx, cfg, acc_split, 0.05)
     assert flat.flat().tobytes() == split.flat().tobytes()
     for name, _ in flat.arrays():
-        assert state_flat.acc[name].tobytes() == acc_split[name].tobytes(), name
+        assert state_flat.get(name).tobytes() == acc_split[name].tobytes(), name
 
 
 @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: f"{c.model_kind}-{c.attention_mode}-{c.design}")
@@ -352,7 +351,7 @@ def test_train_equals_a_loop_of_the_public_steps(cfg):
 
     n_items, n_users = split.train.item_count, split.train.user_count
     ref = init_parameters(cfg, n_items, n_users, tc.seed)
-    state = OptimizerState.for_params(ref)
+    state = ref.zeros_like()
     rng = np.random.default_rng(tc.seed)
     pos_by_user = split.train.items_by_user
     users, items, labels = epoch_instances(pos_by_user, tc.neg_ratio, n_items, rng)
