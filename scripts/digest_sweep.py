@@ -6,12 +6,13 @@
 Runs, through flaicf.cli.main, FISM for 3 epochs, then NAIS (PROD and
 CONCAT), FLA_NAIS and FLA_DICF (Designs 1 and 2) and DEEPICF for 1 epoch
 each from the FISM checkpoint, with the flags bench/run.py trains with,
-and `evaluate --split test` of every model, serially and with
-`--eval_workers 2` into O/<variant>/pool; it exits nonzero if the two
-evaluation files of a variant differ. It writes the output of
-`flaicf gradcheck` for each of those eight variants (seed 0, the sweep's
-d and beta) to O/gradcheck/<variant>.txt, so the digests cover the
-gradients too. With --workload, it first writes that benchmark
+and `evaluate --split test` of every model, serially, with
+`--eval_workers 2` into O/<variant>/pool and with `--eval_workers 3` (two
+forked children) into O/<variant>/pool3; it exits nonzero unless both
+pooled evaluation files of a variant equal the serial one. It writes the
+output of `flaicf gradcheck` for each of those eight variants (seed 0,
+the sweep's d and beta) to O/gradcheck/<variant>.txt, so the digests
+cover the gradients too. With --workload, it first writes that benchmark
 workload's raw file (bench/generate.py, seed 1) under O/raw and runs
 `flaicf prepare` on it into O/prep, with the flags bench/run.py prepares
 with, and trains on that split; the digests then cover the split files
@@ -53,6 +54,8 @@ VARIANTS = (
 # the model width and smoothing of FLAGS, at gradcheck's seed 0
 GRADCHECK_FLAGS = ["--d", "16", "--beta", "0.7", "--seed", "0"]
 PATH_KEYS = ("data_dir", "out_dir", "pretrain_checkpoint")
+# --eval_workers values checked against the serial evaluation, and their output directories
+POOLS = (("2", "pool"), ("3", "pool3"))
 
 
 def run(argv: list[str], output=sys.stderr) -> None:
@@ -110,10 +113,11 @@ def main() -> int:
         evaluate = ["evaluate", "--data_dir", args.data_dir, "--split", "test",
                     "--checkpoint", str(run_dir / "model.ckpt")]
         run(evaluate + ["--out_dir", str(run_dir)])
-        run(evaluate + ["--eval_workers", "2", "--out_dir", str(run_dir / "pool")])
-        for serial in run_dir.glob("eval_*.json"):
-            if serial.read_bytes() != (run_dir / "pool" / serial.name).read_bytes():
-                raise SystemExit(f"{label}: pooled {serial.name} differs from the serial one")
+        for workers, pool in POOLS:
+            run(evaluate + ["--eval_workers", workers, "--out_dir", str(run_dir / pool)])
+            for serial in run_dir.glob("eval_*.json"):
+                if serial.read_bytes() != (run_dir / pool / serial.name).read_bytes():
+                    raise SystemExit(f"{label}: {pool}/{serial.name} differs from the serial one")
     (out / "gradcheck").mkdir(parents=True, exist_ok=True)
     for label, flags in VARIANTS:
         with open(out / "gradcheck" / f"{label}.txt", "w", encoding="utf-8") as fh:

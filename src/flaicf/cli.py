@@ -63,7 +63,8 @@ RUN_KEYS: dict[str, tuple[type, object, str]] = {
     "pretrain_epochs": (int, 0, "FISM pretraining epochs (0 means epochs)"),
     "pretrain_checkpoint": (str, "", "existing FISM checkpoint to reuse"),
     "eval_n": (int, 10, "ranking cutoff n"),
-    "eval_workers": (int, 1, "processes for validation/test evaluation"),
+    "eval_workers": (int, 1, "processes that rank users in evaluation: this one and N-1 forked "
+                             "children (serial where os.fork is missing)"),
     "raw": (str, "", "raw interaction file (prepare)"),
     "format": (str, "MOVIELENS_DAT", "raw format: MOVIELENS_DAT CSV TSV"),
     "k_user": (int, 5, "minimum interactions per user (prepare)"),

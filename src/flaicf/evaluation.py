@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
 from dataclasses import dataclass
 from itertools import chain
 
@@ -165,7 +166,7 @@ def _mean_metrics(results, on: str, n: int) -> MetricsRecord:
 # Elements in each candidates x history x max(d, d') intermediate of one
 # scoring block. At d = d' = 16 a block's (c*m x d) @ (d x d') GEMM then
 # stays at OpenBLAS's 2**18 multiply-add limit for running it on one
-# thread, so two pool workers no longer run four BLAS threads on two
+# thread, so two ranking processes no longer run four BLAS threads on two
 # CPUs, and each intermediate (128 KB) stays in cache. Against one fresh
 # block of all 150 items, on the benchmark's `long` workload (FLA_NAIS
 # Design 2, median history 39; 2 CPUs, OpenBLAS 0.3.31), medians of 10
@@ -308,15 +309,63 @@ def baseline_scores(kind: str, split: SplitDataset, seed: int = 0, knn_k: int | 
     return score
 
 
-_WORKER_STATE: dict = {}
+def _shares(split: SplitDataset, users: np.ndarray, workers: int) -> list[np.ndarray]:
+    """`users` cut into min(workers, users.size) non-empty contiguous runs of
+    about equal summed training-history length (plus one per user, so an
+    empty history still counts), the work of scoring them."""
+    count = min(workers, users.size)
+    if count < 1:
+        return []
+    weight = np.cumsum([split.train.items_by_user[u].size + 1 for u in users])
+    bounds = [0]
+    for k in range(1, count):
+        cut = int(np.searchsorted(weight, weight[-1] * k / count)) + 1
+        bounds.append(min(max(cut, bounds[-1] + 1), users.size - count + k))
+    return np.split(users, bounds[1:])
 
 
-def _init_worker(params, config, split, on, n):
-    _WORKER_STATE["args"] = (model_scorer(params, config, split), split, on, n)
+def _rank_in_child(
+    write_fd: int,
+    params: ParameterSet,
+    config: ModelConfig,
+    split: SplitDataset,
+    on: str,
+    n: int,
+    users: np.ndarray,
+) -> None:
+    """Rank `users` in a forked child, pickle the results (or the exception
+    raised) into the pipe and leave with os._exit, so nothing the parent set
+    up to run on exit runs here. Exits 0 only once the payload is written."""
+    status = 1
+    try:
+        try:
+            scorer = model_scorer(params, config, split)
+            payload = pickle.dumps((True, list(rank_users(scorer, split, on, n, users=users))))
+        except BaseException as exc:
+            try:
+                payload = pickle.dumps((False, exc))
+                pickle.loads(payload)
+            except Exception:
+                payload = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
 
 
-def _rank_chunk(users: np.ndarray) -> list[RankingResult]:
-    return list(rank_users(*_WORKER_STATE["args"], users=users))
+def _child_results(pid: int, status: int, payload: bytes) -> list[RankingResult]:
+    """The results a reaped child sent, or the exception it sent, raised."""
+    if status != 0 or not payload:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+        raise RuntimeError(
+            f"evaluation child {pid} ended without a result (wait status {status}, {how})"
+        )
+    ok, value = pickle.loads(payload)
+    if not ok:
+        raise value
+    return value
 
 
 def evaluate_model(
@@ -327,20 +376,50 @@ def evaluate_model(
     n: int = 10,
     workers: int = 1,
 ) -> MetricsRecord:
-    """Evaluate a model on a split, optionally fanning out across users.
+    """Evaluate a model on a split in `workers` processes, this one included.
 
-    Per-user computations are independent and identical regardless of the
-    worker count; chunks come back in user order and are reduced like the
-    serial path's, so the result is bitwise equal to it.
+    The users are cut into at most `workers` contiguous shares of about equal
+    summed history length (_shares). This process ranks the first share
+    while one os.fork()ed child per other share ranks that share with its own
+    scorer and sends the results back through a pipe. Per-user results do
+    not depend on the share, and they are reduced in user order with
+    _mean_metrics, so the result is bitwise equal to the serial one. Where
+    os.fork is missing, or there is one share, ranking is serial. A child's
+    exception is re-raised here; on any error the children not yet reaped
+    are killed, and every child is reaped before this returns or raises.
     """
     users = _eval_users(split, on)
-    if workers <= 1 or users.size < 4 or os.name == "nt":
+    shares = _shares(split, users, workers) if hasattr(os, "fork") else []
+    if len(shares) <= 1:
         return evaluate(model_scorer(params, config, split), split, on, n)
-    chunks = [c for c in np.array_split(users, workers * 4) if c.size]
-    # a fork-started pool starts all max_workers processes at the first submit
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(chunks)),
-        initializer=_init_worker,
-        initargs=(params, config, split, on, n),
-    ) as pool:
-        return _mean_metrics(chain.from_iterable(pool.map(_rank_chunk, chunks)), on, n)
+    children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _rank_in_child(write_fd, params, config, split, on, n, share)
+            os.close(write_fd)
+            children[pid] = read_fd
+        scorer = model_scorer(params, config, split)
+        results = [list(rank_users(scorer, split, on, n, users=shares[0]))]
+        for pid, read_fd in list(children.items()):
+            with open(read_fd, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            os.close(children.pop(pid))
+            results.append(_child_results(pid, status, payload))
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read_fd in children.items():
+            os.close(read_fd)
+            os.waitpid(pid, 0)
+    return _mean_metrics(chain.from_iterable(results), on, n)

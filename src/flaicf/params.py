@@ -139,10 +139,6 @@ class ParameterSet:
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot rebind ParameterSet.{name}; assign into its arrays instead")
 
-    def __reduce__(self):
-        # a pickled view carries its own copy, so send the buffer once
-        return (ParameterSet, (self._buffer, self._shapes, self.n_users))
-
     def flat(self) -> np.ndarray:
         """The buffer: every array in canonical order as one vector."""
         return self._buffer

@@ -1,12 +1,15 @@
 """Ranking metrics against brute-force oracles; batch scorer consistency."""
 
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
 
 from flaicf import evaluation
-from flaicf.config import DEEP_KINDS, AttentionMode, Design, ModelConfig, ModelKind
+from flaicf.config import DEEP_KINDS, AttentionMode, ConfigError, Design, ModelConfig, ModelKind
 from flaicf.data import split_per_user
 from flaicf.evaluation import (
     BLOCK,
@@ -326,35 +329,59 @@ def test_batch_scorer_empty_history_fallbacks():
     np.testing.assert_array_equal(model_scorer(nais_params, nais_cfg, split)(1), np.zeros(5))
 
 
-def test_pool_is_capped_at_the_chunk_count(monkeypatch):
-    started = []
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    class InlinePool:
-        """Records max_workers and runs the initializer and map in this process."""
 
-        def __init__(self, max_workers, initializer, initargs):
-            started.append(max_workers)
-            initializer(*initargs)
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children os.fork starts while the test runs."""
+    pids = []
+    real_fork = os.fork
 
-        def __enter__(self):
-            return self
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-        def __exit__(self, *exc):
-            return False
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
 
-        def map(self, fn, chunks):
-            return map(fn, chunks)
 
+def test_forks_are_capped_at_the_share_count(monkeypatch, forks):
     cfg = ModelConfig(model_kind=ModelKind.NAIS, d=4, d_prime=4)
     split = split_per_user(random_dataset(43, n_users=6, n_items=12, min_items=4), seed=7)
     params = random_params(cfg, 12, 6, seed=44, scale=0.2)
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(evaluation, "_WORKER_STATE", {})
+    cut = []
+    real_shares = evaluation._shares
+    monkeypatch.setattr(evaluation, "_shares", lambda *args: cut.append(real_shares(*args)) or cut[-1])
     serial = evaluate_model(params, cfg, split, on="test", n=5, workers=1)
+    assert forks == []
     pooled = evaluate_model(params, cfg, split, on="test", n=5, workers=500)
-    # 6 users make 6 one-user chunks
-    assert started == [serial.users_evaluated] == [6]
-    assert (pooled.hr, pooled.ndcg) == (serial.hr, serial.ndcg)
+    assert_no_child_left()
+    shares = cut[-1]
+    # 6 users make at most 6 shares: this process ranks one, 5 children the rest
+    assert len(forks) == len(shares) - 1 <= 5
+    assert all(share.size for share in shares)
+    np.testing.assert_array_equal(np.concatenate(shares), evaluation._eval_users(split, "test"))
+    assert (pooled.hr, pooled.ndcg, pooled.users_evaluated) == (serial.hr, serial.ndcg, 6)
+
+
+def test_shares_are_contiguous_cover_every_user_and_balance_the_history():
+    for seed, n_users, workers in ((1, 1, 1), (2, 2, 5), (3, 7, 3), (4, 30, 2), (5, 30, 7), (6, 9, 9)):
+        split = split_per_user(random_dataset(seed, n_users=n_users, n_items=200, min_items=3,
+                                              max_items=150), seed=seed)
+        users = evaluation._eval_users(split, "test")
+        shares = evaluation._shares(split, users, workers)
+        assert len(shares) == min(workers, users.size)
+        assert all(share.size for share in shares)
+        np.testing.assert_array_equal(np.concatenate(shares), users)
+        weights = [sum(split.train.items_by_user[u].size + 1 for u in share) for share in shares]
+        if len(shares) == 2:  # the cut falls on the user whose history crosses the middle
+            heaviest = max(split.train.items_by_user[u].size + 1 for u in users)
+            assert abs(weights[0] - weights[1]) < 2 * heaviest
 
 
 def test_parallel_evaluation_matches_serial():
@@ -366,7 +393,69 @@ def test_parallel_evaluation_matches_serial():
         split = split_per_user(dataset, seed=7)
         params = random_params(cfg, n_items, 16, seed=41, scale=0.2)
         serial = evaluate_model(params, cfg, split, on="test", n=5, workers=1)
-        parallel = evaluate_model(params, cfg, split, on="test", n=5, workers=2)
-        assert serial.hr == parallel.hr
-        assert serial.ndcg == parallel.ndcg
-        assert serial.users_evaluated == parallel.users_evaluated
+        for workers in (2, 3, 40):
+            parallel = evaluate_model(params, cfg, split, on="test", n=5, workers=workers)
+            assert_no_child_left()
+            assert serial.hr == parallel.hr
+            assert serial.ndcg == parallel.ndcg
+            assert serial.users_evaluated == parallel.users_evaluated == 16
+
+
+def failure_case():
+    cfg = ModelConfig(model_kind=ModelKind.NAIS, d=4, d_prime=4)
+    split = split_per_user(random_dataset(46, n_users=9, n_items=20, min_items=5), seed=7)
+    return random_params(cfg, 20, 9, seed=47, scale=0.2), cfg, split
+
+
+def rank_users_where(monkeypatch, parent_share, child_share):
+    """Replace rank_users with parent_share() in this process, child_share() in forked children."""
+    parent = os.getpid()
+    monkeypatch.setattr(
+        evaluation, "rank_users",
+        lambda *args, **kwargs: parent_share() if os.getpid() == parent else child_share(),
+    )
+
+
+def test_a_child_exception_is_raised_with_its_type_and_message(monkeypatch, forks):
+    def fail():
+        raise ConfigError("no such share")
+
+    rank_users_where(monkeypatch, parent_share=lambda: [], child_share=fail)
+    with pytest.raises(ConfigError) as raised:
+        evaluate_model(*failure_case(), on="test", n=5, workers=3)
+    assert type(raised.value) is ConfigError
+    assert str(raised.value) == "no such share"
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("end, status", [
+    (lambda: os._exit(7), "wait status 1792, exit code 7"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "wait status 9, killed by signal 9"),
+], ids=["exit", "signal"])
+def test_a_child_that_sends_nothing_is_named_with_its_wait_status(monkeypatch, forks, end, status):
+    rank_users_where(monkeypatch, parent_share=lambda: [], child_share=end)
+    with pytest.raises(RuntimeError) as raised:
+        evaluate_model(*failure_case(), on="test", n=5, workers=2)
+    assert str(raised.value) == f"evaluation child {forks[0]} ended without a result ({status})"
+    assert_no_child_left()
+
+
+def test_an_exception_in_this_process_kills_and_reaps_the_children(monkeypatch, forks):
+    def fail():
+        raise KeyError("own share")
+
+    rank_users_where(monkeypatch, parent_share=fail, child_share=lambda: time.sleep(30))
+    start = time.perf_counter()
+    with pytest.raises(KeyError, match="own share"):
+        evaluate_model(*failure_case(), on="test", n=5, workers=3)
+    assert time.perf_counter() - start < 15  # not the children's 30 s
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_evaluation_is_serial_without_fork(monkeypatch):
+    params, cfg, split = failure_case()
+    serial = evaluate_model(params, cfg, split, on="test", n=5, workers=1)
+    monkeypatch.delattr(os, "fork")
+    assert evaluate_model(params, cfg, split, on="test", n=5, workers=3) == serial
