@@ -201,4 +201,5 @@ def _block(kind, design, mode, p, Q_hist, params: ParameterSet, beta: float):
     if Q_hist.ndim != 2 or Q_hist.shape[0] == 0:
         raise ValueError("attention weights need a nonempty history matrix")
     config = ModelConfig(model_kind=kind, design=design, attention_mode=mode, d=Q_hist.shape[1], beta=beta)
-    return forward_block(kind, config, params, np.asarray(p, dtype=float), Q_hist)
+    # user and target index only the deep family's biases, unused here
+    return forward_block(kind, config, params, 0, 0, np.asarray(p, dtype=float), Q_hist)

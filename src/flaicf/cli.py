@@ -96,12 +96,6 @@ class RunConfig:
 
     values: dict
 
-    def __getattr__(self, key):
-        try:
-            return self.values[key]
-        except KeyError:
-            raise AttributeError(key)
-
     def model_config(self) -> ModelConfig:
         return ModelConfig(
             model_kind=self.values["model"],
@@ -278,30 +272,28 @@ def cmd_train(config: RunConfig, suffix: str = "") -> dict:
     model_config = config.model_config()
     train_config = config.train_config()
     split = load_split(config.values["data_dir"])
+    pretrain, fism_params = config.flag("pretrain"), None
+    if pretrain and config.values["pretrain_checkpoint"]:
+        fism_params, fism_config = _load_checkpoint_for(config.values["pretrain_checkpoint"], split)
+        if fism_config.d != model_config.d:
+            raise CheckpointError(
+                f"pretrain checkpoint has d={fism_config.d}, run needs d={model_config.d}"
+            )
     out.mkdir(parents=True, exist_ok=True)
 
-    pretrained = None
-    if config.flag("pretrain"):
-        if config.values["pretrain_checkpoint"]:
-            fism_params, fism_config = _load_checkpoint_for(config.values["pretrain_checkpoint"], split)
-            if fism_config.d != model_config.d:
-                raise CliError(
-                    f"pretrain checkpoint has d={fism_config.d}, run needs d={model_config.d}"
-                )
-        else:
-            fism_config, fism_params, fism_records = train_fism(
-                split, model_config, train_config, config.values["pretrain_epochs"]
-            )
-            save_checkpoint(fism_params, fism_config, out / "fism_pretrain.ckpt")
-            _write_metrics(out / "pretrain_metrics", fism_records)
-        pretrained = (fism_params.P, fism_params.Q)
+    if pretrain and fism_params is None:
+        fism_config, fism_params, fism_records = train_fism(
+            split, model_config, train_config, config.values["pretrain_epochs"]
+        )
+        save_checkpoint(fism_params, fism_config, out / "fism_pretrain.ckpt")
+        _write_metrics(out / "pretrain_metrics", fism_records)
 
     params, records = train(
         model_config.model_kind,
         split,
         model_config,
         train_config,
-        pretrained=pretrained,
+        pretrained=None if fism_params is None else (fism_params.P, fism_params.Q),
         log_fn=lambda record: print(record.to_line()),
     )
     save_checkpoint(params, model_config, out / "model.ckpt")

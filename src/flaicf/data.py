@@ -66,34 +66,36 @@ class InteractionDataset:
 
     def pairs(self) -> np.ndarray:
         """All (user, item) index pairs, user-major, items ascending."""
-        out = np.empty((self.interaction_count, 2), dtype=np.int64)
-        pos = 0
-        for u, items in enumerate(self.items_by_user):
-            out[pos : pos + items.size, 0] = u
-            out[pos : pos + items.size, 1] = items
-            pos += items.size
-        return out
+        sizes = [items.size for items in self.items_by_user]
+        users = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+        items = np.concatenate([np.empty(0, dtype=np.int64), *self.items_by_user])
+        return np.column_stack((users, items))
+
+
+def _group_by_user(users: np.ndarray, items: np.ndarray, user_count: int) -> list[np.ndarray]:
+    """The distinct items of each of user_count users, ascending, from
+    parallel (user, item) index arrays."""
+    order = np.lexsort((items, users))
+    users, items = users[order], items[order]
+    new = np.ones(users.size, dtype=bool)
+    new[1:] = (users[1:] != users[:-1]) | (items[1:] != items[:-1])
+    users, items = users[new], items[new]
+    return np.split(items, np.cumsum(np.bincount(users, minlength=user_count)))[:-1]
 
 
 def _dataset_from_pairs(raw_pairs: list[tuple[str, str]]) -> InteractionDataset:
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
-    seen: set[tuple[int, int]] = set()
-    by_user: list[list[int]] = []
-    for raw_u, raw_i in raw_pairs:
-        u = user_index.setdefault(raw_u, len(user_index))
-        if u == len(by_user):
-            by_user.append([])
-        i = item_index.setdefault(raw_i, len(item_index))
-        if (u, i) not in seen:
-            seen.add((u, i))
-            by_user[u].append(i)
     if not raw_pairs:
         raise EmptyDatasetError("no interactions")
+    user_index: dict[str, int] = {}
+    item_index: dict[str, int] = {}
+    users = np.fromiter((user_index.setdefault(u, len(user_index)) for u, _ in raw_pairs),
+                        dtype=np.int64, count=len(raw_pairs))
+    items = np.fromiter((item_index.setdefault(i, len(item_index)) for _, i in raw_pairs),
+                        dtype=np.int64, count=len(raw_pairs))
     return InteractionDataset(
         user_ids=list(user_index),
         item_ids=list(item_index),
-        items_by_user=[np.array(sorted(items), dtype=np.int64) for items in by_user],
+        items_by_user=_group_by_user(users, items, len(user_index)),
     )
 
 
@@ -155,13 +157,11 @@ def k_core_filter(dataset: InteractionDataset, k_user: int, k_item: int) -> Inte
     item_kept[kept[:, 1]] = True
     new_user = np.cumsum(user_kept) - 1
     new_item = np.cumsum(item_kept) - 1
-    by_user: list[list[int]] = [[] for _ in range(int(user_kept.sum()))]
-    for u, i in kept:
-        by_user[new_user[u]].append(int(new_item[i]))
     return InteractionDataset(
         user_ids=[raw for raw, ok in zip(dataset.user_ids, user_kept) if ok],
         item_ids=[raw for raw, ok in zip(dataset.item_ids, item_kept) if ok],
-        items_by_user=[np.array(sorted(xs), dtype=np.int64) for xs in by_user],
+        items_by_user=_group_by_user(
+            new_user[kept[:, 0]], new_item[kept[:, 1]], int(user_kept.sum())),
     )
 
 
@@ -280,7 +280,8 @@ def load_split(data_dir) -> SplitDataset:
     item_ids = _read_vocab(root / "item_vocab.txt")
     views = {}
     for name in ("train", "valid", "test"):
-        by_user: list[list[int]] = [[] for _ in user_ids]
+        users: list[int] = []
+        items: list[int] = []
         path = root / f"{name}.txt"
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -297,11 +298,13 @@ def load_split(data_dir) -> SplitDataset:
                         f"{path}:{lineno}: pair {line!r} outside the vocab of "
                         f"{len(user_ids)} users and {len(item_ids)} items"
                     )
-                by_user[u].append(i)
+                users.append(u)
+                items.append(i)
         views[name] = InteractionDataset(
             user_ids=user_ids,
             item_ids=item_ids,
-            items_by_user=[np.array(sorted(xs), dtype=np.int64) for xs in by_user],
+            items_by_user=_group_by_user(
+                np.array(users, dtype=np.int64), np.array(items, dtype=np.int64), len(user_ids)),
         )
     ratios, seed = (0.7, 0.1, 0.2), 0
     path = root / "split_meta.txt"

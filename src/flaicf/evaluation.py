@@ -19,10 +19,10 @@ from itertools import chain
 
 import numpy as np
 
-from .config import DEEP_KINDS, ConfigError, ModelConfig, ModelKind
+from .config import ConfigError, ModelConfig
 from .data import SplitDataset
 from .params import ParameterSet
-from .predictors import BlockWorkspace, forward_block
+from .predictors import BlockWorkspace, block_rows, forward_block
 
 BASELINES = ("RANDOM", "POP", "ITEMKNN")
 
@@ -163,82 +163,43 @@ def _mean_metrics(results, on: str, n: int) -> MetricsRecord:
     )
 
 
-# Elements in each candidates x history x max(d, d') intermediate of one
-# scoring block. At d = d' = 16 a block's (c*m x d) @ (d x d') GEMM then
-# stays at OpenBLAS's 2**18 multiply-add limit for running it on one
-# thread, so two ranking processes no longer run four BLAS threads on two
-# CPUs, and each intermediate (128 KB) stays in cache. Against one fresh
-# block of all 150 items, on the benchmark's `long` workload (FLA_NAIS
-# Design 2, median history 39; 2 CPUs, OpenBLAS 0.3.31), medians of 10
-# runs: pooled ranking 131 -> 347 users/s, serial 380 -> 440 users/s.
-# The blocks must share one BlockWorkspace: glibc returns freed
-# temporaries of this size to the OS, so a fresh set per block is faulted
-# in again every block. Ranking that split in a fresh process (glibc 2.36)
-# took 27-44 ms with the workspace, 56-72 ms without it, and 31-40 ms
-# without it under MALLOC_TRIM_THRESHOLD_=64MB.
-BLOCK = 2**14
-
-
 def model_scorer(params: ParameterSet, config: ModelConfig, split: SplitDataset):
     """Score every item for a user, block by block of items.
 
     The history is the user's training positives; eval candidates are never
-    in it, so no per-candidate exclusion is needed. An attentive model runs
-    predictors.forward_block over each block of items (_score_chunk), which
-    matches the instance forward pass up to rounding. A user with m history
-    items gets blocks of max(1, BLOCK // (m * max(d, d'))) items.
-    Every block writes its intermediates into one BlockWorkspace, made once
-    per scorer and sized to the largest block, so they live only until the
-    next block and a scorer is not safe to call from two threads at once;
-    the scores returned are a fresh array per user. FISM sums the history
-    first, costing O(n d) instead of O(n m d).
+    in it, so no per-candidate exclusion is needed. Each block of items is
+    scored by predictors.forward_block (_score_chunk), which matches the
+    instance forward pass up to rounding; predictors.block_rows sizes the
+    blocks for the user's history length. Every block writes its
+    intermediates into one BlockWorkspace, made once per scorer, so they
+    live only until the next block and a scorer is not safe to call from
+    two threads at once; the scores returned are a fresh array per user.
     """
-    kind = config.model_kind
-    P, Q = params.P, params.Q
-    n_items = P.shape[0]
+    Q, n_items = params.Q, params.P.shape[0]
     hist_by_user = split.train.items_by_user
-    width = max(config.d, config.d_prime)
-
-    def rows_for(m: int) -> int:
-        return max(1, min(n_items, BLOCK // (m * width)))
-
-    workspace = BlockWorkspace(
-        max((rows_for(h.size) * h.size * width for h in hist_by_user if h.size), default=0)
-    )
+    workspace = BlockWorkspace()
 
     def score(user: int) -> np.ndarray:
-        hist = hist_by_user[user]
-        if hist.size == 0:
-            if kind in DEEP_KINDS:
-                return params.b_user[user] + params.b_item
-            return np.zeros(n_items)
-        Qh = Q[hist]
-        if kind is ModelKind.FISM:
-            return hist.size ** (-config.alpha) * (P @ Qh.sum(axis=0))
-        rows = rows_for(hist.size)
-        out = np.empty(n_items)
-        for lo in range(0, n_items, rows):
-            hi = min(lo + rows, n_items)
-            out[lo:hi] = _score_chunk(kind, config, params, P[lo:hi], Qh, user, lo, hi, workspace)
-        return out
+        Qh = Q[hist_by_user[user]]
+        rows = block_rows(config, Qh.shape[0], n_items)
+        scores = [_score_chunk(config, params, user, slice(lo, lo + rows), Qh, workspace)
+                  for lo in range(0, n_items, rows)]
+        return scores[0] if len(scores) == 1 else np.concatenate(scores)
 
     return score
 
 
 def _score_chunk(
-    kind: ModelKind,
     config: ModelConfig,
     params: ParameterSet,
-    Pc: np.ndarray,
-    Qh: np.ndarray,
     user: int,
-    lo: int,
-    hi: int,
+    items: slice,
+    Qh: np.ndarray,
     workspace: BlockWorkspace,
 ) -> np.ndarray:
-    """Scores of items lo..hi-1 (rows Pc of P) for one user with history rows Qh."""
-    bias = params.b_user[user] + params.b_item[lo:hi] if kind in DEEP_KINDS else 0.0
-    return forward_block(kind, config, params, Pc, Qh, bias, workspace).score
+    """Scores of a slice of items for one user with history rows Qh."""
+    return forward_block(config.model_kind, config, params, user, items, params.P[items], Qh,
+                         workspace).score
 
 
 def baseline_scores(kind: str, split: SplitDataset, seed: int = 0, knn_k: int | None = None):

@@ -1,20 +1,20 @@
 """Forward passes for every model kind.
 
 All five models score a (user, target item) pair against the user's
-training history. The attentive kinds' forward pass is written once, in
-forward_block, over a block of candidate targets x history items: the
-shared hidden layer, the item and/or feature softmax, then the
-inner-product or deep-tower head. Training runs it with one candidate
-(forward_cache, which keeps every intermediate the exact backward pass
-needs), ranking with blocks of items (evaluation.model_scorer), and the
-attention views read its weights. FISM has no attention and keeps its
-closed form.
+training history, and forward_block scores every kind, for one target or
+for a block of candidate targets: an empty history's constant fallback,
+FISM's closed form, or the attentive kinds' shared hidden layer, item
+and/or feature softmax and inner-product or deep-tower head. Training
+runs it with one target (forward_cache, which gathers the P/Q rows and
+keeps every intermediate the exact backward pass needs), ranking with
+blocks of items (evaluation.model_scorer, blocks of block_rows items),
+and the attention views read its weights.
 
-Ranking budgets its blocks (evaluation.BLOCK) and writes every candidate
-x history intermediate into one BlockWorkspace that it reuses from block
-to block, so the fields of a cache built on a workspace are valid only
-until the next block. Without a workspace every array is fresh, and a
-one-target cache never shares memory with another.
+Ranking budgets its blocks (BLOCK) and writes every candidate x history
+intermediate into one BlockWorkspace that it reuses from block to block,
+so the fields of a cache built on a workspace are valid only until the
+next block. Without a workspace every array is fresh, and a one-target
+cache never shares memory with another.
 
 Empty histories fall back to a constant: 0 for FISM, NAIS and FLA_NAIS,
 and the user-plus-item bias for the DeepICF family.
@@ -131,19 +131,46 @@ def deep_tower(cache: ForwardCache, e: np.ndarray, params: ParameterSet) -> floa
     return u @ params.V
 
 
+# Elements in each candidates x history x max(d, d') intermediate of one
+# scoring block. At d = d' = 16 a block's (c*m x d) @ (d x d') GEMM then
+# stays at OpenBLAS's 2**18 multiply-add limit for running it on one
+# thread, so two ranking processes no longer run four BLAS threads on two
+# CPUs, and each intermediate (128 KB) stays in cache. Against one fresh
+# block of all 150 items, on the benchmark's `long` workload (FLA_NAIS
+# Design 2, median history 39; 2 CPUs, OpenBLAS 0.3.31), medians of 10
+# runs: pooled ranking 131 -> 347 users/s, serial 380 -> 440 users/s.
+# The blocks must share one BlockWorkspace: glibc returns freed
+# temporaries of this size to the OS, so a fresh set per block is faulted
+# in again every block. Ranking that split in a fresh process (glibc 2.36)
+# took 27-44 ms with the workspace, 56-72 ms without it, and 31-40 ms
+# without it under MALLOC_TRIM_THRESHOLD_=64MB.
+BLOCK = 2**14
+
+
+def block_rows(config: ModelConfig, m: int, n_items: int) -> int:
+    """Candidates per ranking block for a history of m items.
+
+    FISM, which sums the history first (O(n d) for n items), and an empty
+    history's constant score take all n_items in one block; an attentive
+    kind takes max(1, BLOCK // (m * max(d, d'))).
+    """
+    if config.model_kind is ModelKind.FISM or m == 0:
+        return n_items
+    return max(1, min(n_items, BLOCK // (m * max(config.d, config.d_prime))))
+
+
 class BlockWorkspace:
     """Arrays that forward_block writes a block's intermediates into.
 
-    One flat buffer per intermediate, allocated on its first use with room
-    for size elements (or the block's need, if larger) and reused by every
-    later block, whatever its shape. A cache built on a workspace holds
-    views of these buffers, valid only until the next block. Reuse is what
-    keeps ranking fast: glibc gives freed block-sized temporaries back to
-    the OS, so fresh ones are faulted in again every block (evaluation.BLOCK).
+    One flat buffer per intermediate, allocated on its first use, grown
+    when a later block needs more and otherwise reused by every later
+    block, whatever its shape. A cache built on a workspace holds views of
+    these buffers, valid only until the next block. Reuse is what keeps
+    ranking fast: glibc gives freed block-sized temporaries back to the
+    OS, so fresh ones are faulted in again every block (BLOCK).
     """
 
-    def __init__(self, size: int = 0):
-        self.size = size
+    def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
 
     def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -151,7 +178,7 @@ class BlockWorkspace:
         n = math.prod(shape)
         buf = self.buffers.get(name)
         if buf is None or buf.size < n:
-            buf = self.buffers[name] = np.empty(max(n, self.size))
+            buf = self.buffers[name] = np.empty(n)
         return buf[:n].reshape(shape)
 
 
@@ -159,29 +186,42 @@ def forward_block(
     kind: ModelKind,
     config: ModelConfig,
     params: ParameterSet,
+    user: int,
+    target: int | slice,
     p: np.ndarray,
     Q_hist: np.ndarray,
-    bias: float | np.ndarray = 0.0,
     workspace: BlockWorkspace | None = None,
 ) -> ForwardCache:
-    """Forward pass of an attentive kind: one target, or a block of them.
+    """Forward pass of any kind for one user: one target, or a block of them.
 
-    p is the target's row of P (d), or the rows of c candidate targets
-    (c x d); Q_hist holds the history's rows of Q (m x d, m >= 1). bias is
-    the deep family's user-plus-item bias, one per target. Training runs
-    one target (forward_cache) and ranking a block of items; a candidate's
-    score in a block equals its one-target score up to rounding.
+    target is the target item (an int) with p its row of P (d), or a
+    slice of c candidate items with p their rows (c x d); Q_hist holds the
+    history's rows of Q (m x d). The deep family adds the user's and the
+    target's bias. An empty history (m = 0) gives the kind's constant
+    fallback. Training runs one target (forward_cache) and ranking a block
+    of items; a candidate's score in a block equals its one-target score
+    up to rounding.
 
     With a workspace, every candidate x history intermediate is written
     into its buffers, so the cache's fields are valid only until the next
     block run on it; the score is always a fresh array, bitwise equal to
     the one computed without a workspace.
     """
+    m = Q_hist.shape[0]
+    bias = params.b_user[user] + params.b_item[target] if kind in DEEP_KINDS else None
+    if m == 0:
+        return ForwardCache(config, score=np.zeros(p.shape[:-1]) if bias is None else bias, empty=True)
+    if kind is ModelKind.FISM:
+        # one target sums the m products, as training always has; a block
+        # sums the history first, O(c d) instead of O(c m d)
+        summed = (Q_hist @ p).sum() if p.ndim == 1 else p @ Q_hist.sum(axis=0)
+        return ForwardCache(config, score=m ** (-config.alpha) * summed)
+
     # `None if ws is None else ws.take(...)` at each use: a call per buffer
     # would cost one-target training 1-3 us per forward pass
     ws = workspace
     if ws is not None:
-        cm = p.shape[:-1] + Q_hist.shape[:1]
+        cm = p.shape[:-1] + (m,)
         cmd, cmdp = cm + (Q_hist.shape[1],), cm + (params.W.shape[0],)
     cache = ForwardCache(config=config)
     if kind is ModelKind.NAIS and config.attention_mode is AttentionMode.CONCAT:
@@ -222,7 +262,7 @@ def forward_block(
         cache.e = np.einsum("...md,...md->...d", weights, cache.X)
         cache.score = deep_tower(cache, cache.e, params) + bias
     else:
-        raise ValueError(f"{kind!r} has no attention block")
+        raise ValueError(f"unknown model kind {kind!r}")
     return cache
 
 
@@ -238,24 +278,15 @@ def forward_cache(
     The target's and the history's rows are gathered with one index into
     the P/Q table pq (params' PQ segment when not given).
     """
-    bias = 0.0
-    if model_kind in DEEP_KINDS:
-        bias = float(params.b_user[ctx.user] + params.b_item[ctx.target])
-    hist = ctx.history
-    if hist.size == 0:
-        return ForwardCache(config, ctx, score=bias, empty=True)
     if pq is None:
         pq = params.get(PQ)
+    hist = ctx.history
     idx = np.empty(hist.size + 1, dtype=np.int64)
     idx[0] = ctx.target
     np.add(hist, pq.shape[0] // 2, out=idx[1:])
     rows = pq.take(idx, axis=0)
-    if model_kind is ModelKind.FISM:
-        score = hist.size ** (-config.alpha) * (rows[1:] @ rows[0]).sum()
-        cache = ForwardCache(config, score=float(score))
-    else:
-        cache = forward_block(model_kind, config, params, rows[0], rows[1:], bias)
-        cache.score = float(cache.score)
+    cache = forward_block(model_kind, config, params, ctx.user, ctx.target, rows[0], rows[1:])
+    cache.score = float(cache.score)
     cache.ctx, cache.idx, cache.pq = ctx, idx, rows
     return cache
 

@@ -4,13 +4,14 @@ bench/tracing.py replaces module attributes of the program (for example
 training.forward_cache and predictors.hidden_prod) with timed wrappers.
 A refactor that renames one of them, or stops calling through it, would
 leave a traced benchmark run without that layer's figures; this test
-makes that a tier-1 failure.
+makes that a tier-1 failure. It trains, which also validates, and then
+ranks the test split serially, as the benchmark's ranking phase does.
 """
 
 import importlib.util
 from pathlib import Path
 
-from flaicf import training
+from flaicf import evaluation, training
 from flaicf.config import Design, ModelConfig, ModelKind, TrainConfig
 from flaicf.data import split_per_user
 from tests.conftest import random_dataset
@@ -26,6 +27,8 @@ SPANS = (
     "attention.col_softmax",
     "evaluation.score_chunk",
 )
+# the spans bench/run.py reads from its ranking phase
+RANK_SPANS = ("evaluation.score_user", "evaluation.score_chunk", "evaluation.rank_items")
 
 
 def test_traced_training_records_every_layer_span():
@@ -38,8 +41,11 @@ def test_traced_training_records_every_layer_span():
     try:
         for design in (Design.DESIGN1, Design.DESIGN2):
             cfg = ModelConfig(model_kind=ModelKind.FLA_NAIS, design=design, d=4)
-            training.train(ModelKind.FLA_NAIS, split, cfg, TrainConfig(epochs=1, seed=1))
+            params, _ = training.train(ModelKind.FLA_NAIS, split, cfg, TrainConfig(epochs=1, seed=1))
+        tracer.phase = "rank"
+        evaluation.evaluate_model(params, cfg, split, on="test")
     finally:
         tracer.uninstall()
     missing = [name for name in SPANS if tracer.calls_of(name) == 0]
+    missing += [f"rank:{name}" for name in RANK_SPANS if tracer.calls_of(name, "rank") == 0]
     assert not missing, f"spans never recorded: {missing}"

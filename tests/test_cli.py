@@ -347,6 +347,7 @@ MALFORMED_VALUES = {
     "train-attention_mode": ["train", "--attention_mode", "SUM"],
     "gradcheck-model": ["gradcheck", "--model", "FOO"],
     "train-deep_layers": ["train", "--model", "DEEPICF", "--deep_layers", "a,b"],
+    "train-pretrain": ["train", "--pretrain", "maybe"],
     "evaluate-baseline": ["evaluate", "--baseline", "FOO"],
     "evaluate-eval_n": ["evaluate", "--baseline", "POP", "--eval_n", "0"],
     "evaluate-knn_k": ["evaluate", "--baseline", "ITEMKNN", "--knn_k", "-3"],
@@ -374,7 +375,24 @@ def test_pretrain_checkpoint_of_another_vocabulary_is_a_checkpoint_error(prepare
         "--d", "4", "--pretrain", "true", "--pretrain_checkpoint", str(ckpt)])
     assert code == 4
     assert "error: category=checkpoint" in capsys.readouterr().err
-    assert not (tmp_path / "run" / "model.ckpt").exists()
+    assert not (tmp_path / "run").exists()
+
+
+def test_pretrain_checkpoint_of_another_width_is_a_checkpoint_error(prepared, tmp_path, capsys):
+    ckpt = checkpoint_for_vocab(prepared, tmp_path / "fism.ckpt", ModelKind.FISM)  # d=4
+    code = run_train(prepared, tmp_path / "run", [
+        "--pretrain", "true", "--pretrain_checkpoint", str(ckpt)])  # d=6
+    assert code == 4
+    assert "error: category=checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_missing_pretrain_checkpoint_leaves_no_out_dir(prepared, tmp_path, capsys):
+    code = run_train(prepared, tmp_path / "run", [
+        "--pretrain", "true", "--pretrain_checkpoint", str(tmp_path / "absent.ckpt")])
+    assert code == 3
+    assert "error: category=io" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(

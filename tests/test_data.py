@@ -40,6 +40,20 @@ def test_parse_dedups(tmp_path):
     assert ds.interaction_count == 1
 
 
+def test_parse_groups_like_a_loop(tmp_path):
+    """Per-user grouping and pairs() against a plain loop over the lines."""
+    rng = np.random.default_rng(3)
+    raw = [(f"u{rng.integers(12)}", f"i{rng.integers(20)}") for _ in range(150)]  # with repeats
+    ds = parse_interactions(write_raw(tmp_path / "r.csv", [f"{u},{i}" for u, i in raw]), "CSV")
+    users, items, by_user = {}, {}, {}
+    for u, i in raw:
+        by_user.setdefault(users.setdefault(u, len(users)), set()).add(items.setdefault(i, len(items)))
+    assert (ds.user_ids, ds.item_ids) == (list(users), list(items))
+    assert [xs.tolist() for xs in ds.items_by_user] == [sorted(by_user[u]) for u in range(len(users))]
+    loop_pairs = [(u, i) for u in range(len(users)) for i in sorted(by_user[u])]
+    assert ds.pairs().tolist() == [list(pair) for pair in loop_pairs]
+
+
 def test_parse_csv_and_tsv(tmp_path):
     csv = write_raw(tmp_path / "r.csv", ["a,b,5", "a,c,1"])
     ds = parse_interactions(csv, "CSV")

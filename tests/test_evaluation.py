@@ -8,11 +8,10 @@ import time
 import numpy as np
 import pytest
 
-from flaicf import evaluation
+from flaicf import evaluation, predictors
 from flaicf.config import DEEP_KINDS, AttentionMode, ConfigError, Design, ModelConfig, ModelKind
 from flaicf.data import split_per_user
 from flaicf.evaluation import (
-    BLOCK,
     MetricsRecord,
     baseline_scores,
     evaluate,
@@ -22,7 +21,7 @@ from flaicf.evaluation import (
     ndcg_at_n,
     rank_items,
 )
-from flaicf.predictors import BlockWorkspace, PredictionContext, forward_block, predict
+from flaicf.predictors import BlockWorkspace, PredictionContext, block_rows, forward_block, predict
 from tests.conftest import make_dataset, random_dataset, random_params
 
 
@@ -230,9 +229,6 @@ SCORER_CONFIGS = [
 ]
 
 
-ATTENTIVE_CONFIGS = [c for c in SCORER_CONFIGS if c.model_kind is not ModelKind.FISM]
-
-
 def config_id(cfg):
     return f"{cfg.model_kind}-{cfg.design}-{cfg.attention_mode}"
 
@@ -241,7 +237,7 @@ def config_id(cfg):
 def test_batch_scorer_matches_instance_predict(cfg, monkeypatch):
     split = split_per_user(random_dataset(37, n_users=8, n_items=14, min_items=4), seed=6)
     params = random_params(cfg, 14, 8, seed=38, scale=0.3)
-    monkeypatch.setattr(evaluation, "BLOCK", 64)  # at most 12 of the 14 items per block
+    monkeypatch.setattr(predictors, "BLOCK", 64)  # at most 12 of the 14 items per block
     scorer = model_scorer(params, cfg, split)
     for u in range(8):
         scores = scorer(u)
@@ -255,24 +251,22 @@ def test_batch_scorer_matches_instance_predict(cfg, monkeypatch):
             ), (u, i)
 
 
-def block_bias(cfg, params, user, items):
-    return params.b_user[user] + params.b_item[items] if cfg.model_kind in DEEP_KINDS else 0.0
-
-
-@pytest.mark.parametrize("cfg", ATTENTIVE_CONFIGS, ids=config_id)
+@pytest.mark.parametrize("cfg", SCORER_CONFIGS, ids=config_id)
 def test_forward_block_workspace_is_bitwise_and_reused(cfg):
     params = random_params(cfg, 14, 3, seed=42, scale=0.3)
     workspace = BlockWorkspace()
     first = None
     for c, hist in ((6, [7, 8, 9, 10, 11]), (4, [8, 12, 13])):
-        args = (cfg.model_kind, cfg, params, params.P[:c], params.Q[hist],
-                block_bias(cfg, params, 1, slice(0, c)))
+        args = (cfg.model_kind, cfg, params, 1, slice(0, c), params.P[:c], params.Q[hist])
         fresh = forward_block(*args)
         cache = forward_block(*args, workspace)
         np.testing.assert_array_equal(cache.score, fresh.score)
-        np.testing.assert_array_equal(cache.R, fresh.R)
-        assert np.shares_memory(cache.R, workspace.buffers["R"])
         assert not any(np.shares_memory(cache.score, buf) for buf in workspace.buffers.values())
+        if cfg.model_kind is ModelKind.FISM:
+            assert not workspace.buffers  # FISM has no candidates x history intermediate
+        else:
+            np.testing.assert_array_equal(cache.R, fresh.R)
+            assert np.shares_memory(cache.R, workspace.buffers["R"])
         if first is None:
             first = dict(workspace.buffers)
     # the smaller second block reuses every buffer of the first
@@ -285,23 +279,25 @@ def long_history_split():
     return split_per_user(random_dataset(43, n_users=6, n_items=400, min_items=60, max_items=80), seed=8)
 
 
-@pytest.mark.parametrize("cfg", ATTENTIVE_CONFIGS, ids=config_id)
+@pytest.mark.parametrize("cfg", SCORER_CONFIGS, ids=config_id)
 def test_blocked_scorer_matches_one_block(cfg):
     split = long_history_split()
     params = random_params(cfg, 400, 6, seed=44, scale=0.3)
     scorer = model_scorer(params, cfg, split)
     for user in range(6):
         hist = split.train.items_by_user[user]
-        assert BLOCK // (hist.size * max(cfg.d, cfg.d_prime)) <= 400 // 3  # three blocks or more
-        whole = forward_block(cfg.model_kind, cfg, params, params.P, params.Q[hist],
-                              block_bias(cfg, params, user, slice(None))).score
+        rows = block_rows(cfg, hist.size, 400)
+        # three blocks or more; FISM sums the history first and takes one
+        assert rows == 400 if cfg.model_kind is ModelKind.FISM else rows <= 400 // 3
+        whole = forward_block(cfg.model_kind, cfg, params, user, slice(None), params.P,
+                              params.Q[hist]).score
         blocked = scorer(user)
         np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=0.0)
         top = lambda scores: np.argsort(-scores, kind="stable")[:10]
         np.testing.assert_array_equal(top(blocked), top(whole))
 
 
-@pytest.mark.parametrize("cfg", ATTENTIVE_CONFIGS, ids=config_id)
+@pytest.mark.parametrize("cfg", SCORER_CONFIGS, ids=config_id)
 def test_scores_never_alias_the_workspace(cfg):
     split = long_history_split()
     params = random_params(cfg, 400, 6, seed=45, scale=0.3)
@@ -319,14 +315,32 @@ def test_batch_scorer_empty_history_fallbacks():
     # user 1 has no interactions at all -> whole-score fallback
     ds = make_dataset({0: [0, 1, 2], 1: []}, 5)
     split = split_per_user(ds, seed=0)
-    assert split.train.items_by_user[1].size == 0
-    cfg = ModelConfig(model_kind=ModelKind.DEEPICF, d=4, d_prime=4)
-    params = random_params(cfg, 5, 2, seed=39)
-    scores = model_scorer(params, cfg, split)(1)
-    np.testing.assert_allclose(scores, params.b_user[1] + params.b_item, atol=1e-12)
-    nais_cfg = ModelConfig(model_kind=ModelKind.NAIS, d=4, d_prime=4)
-    nais_params = random_params(nais_cfg, 5, 2, seed=40)
-    np.testing.assert_array_equal(model_scorer(nais_params, nais_cfg, split)(1), np.zeros(5))
+    history = split.train.items_by_user[1]
+    assert history.size == 0
+    for cfg in SCORER_CONFIGS:
+        params = random_params(cfg, 5, 2, seed=39)
+        scores = model_scorer(params, cfg, split)(1)
+        expect = [predict(cfg.model_kind, PredictionContext(1, i, history), params, cfg)
+                  for i in range(5)]
+        np.testing.assert_array_equal(scores, expect, err_msg=config_id(cfg))
+        deep = cfg.model_kind in DEEP_KINDS
+        np.testing.assert_array_equal(scores, params.b_user[1] + params.b_item if deep else np.zeros(5))
+
+
+def test_fism_ranks_a_user_in_one_block(monkeypatch):
+    """FISM sums the history once and scores every item in one O(n d) product."""
+    cfg = SCORER_CONFIGS[0]
+    assert cfg.model_kind is ModelKind.FISM
+    split = long_history_split()
+    params = random_params(cfg, 400, 6, seed=46, scale=0.3)
+    calls = []
+    original = evaluation._score_chunk
+    monkeypatch.setattr(evaluation, "_score_chunk", lambda *args: calls.append(args) or original(*args))
+    scorer = model_scorer(params, cfg, split)
+    for user in range(6):
+        scorer(user)
+    assert len(calls) == 6
+    assert all(args[3] == slice(0, 400) for args in calls)
 
 
 def assert_no_child_left():
