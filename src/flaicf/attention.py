@@ -202,4 +202,4 @@ def _block(kind, design, mode, p, Q_hist, params: ParameterSet, beta: float):
         raise ValueError("attention weights need a nonempty history matrix")
     config = ModelConfig(model_kind=kind, design=design, attention_mode=mode, d=Q_hist.shape[1], beta=beta)
     # user and target index only the deep family's biases, unused here
-    return forward_block(kind, config, params, 0, 0, np.asarray(p, dtype=float), Q_hist)
+    return forward_block(config, params, 0, 0, np.asarray(p, dtype=float), Q_hist)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 
@@ -52,7 +52,15 @@ class ModelConfig:
     history-length normalization exponent (FISM only), design the way
     item-level and feature-level attention are combined (FLA models),
     attention_mode the NAIS interaction encoding, and deep_layers the
-    hidden sizes of the deep tower (DeepICF family).
+    hidden sizes of the deep tower (DeepICF family; None for the kinds
+    with an inner-product head).
+
+    Every attentive kind is one chain: the shared hidden layer, then item
+    weights from h or feature weights from H, then the head (predictors).
+    Two plain attributes, derived here and not settable, say which
+    weights a model has: item_attention (the item softmax over h: NAIS,
+    DeepICF and Design 1) and feature_attention (the feature softmax
+    over H: FLA_NAIS and FLA_DICF). FISM has neither.
     """
 
     model_kind: ModelKind = ModelKind.FLA_NAIS
@@ -81,9 +89,14 @@ class ModelConfig:
             raise ConfigError(f"beta must lie in (0, 1], got {self.beta}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.attention_mode is AttentionMode.CONCAT and self.model_kind is not ModelKind.NAIS:
+        kind = self.model_kind
+        if self.attention_mode is AttentionMode.CONCAT and kind is not ModelKind.NAIS:
             raise ConfigError("CONCAT attention is defined for NAIS only")
-        if self.model_kind in DEEP_KINDS:
+        feature = kind in FLA_KINDS
+        object.__setattr__(self, "feature_attention", feature)
+        object.__setattr__(self, "item_attention", kind is not ModelKind.FISM and not (
+            feature and self.design is Design.DESIGN2))
+        if kind in DEEP_KINDS:
             layers = self.deep_layers
             if layers is None:
                 layers = (self.d, max(self.d // 2, 1))
@@ -93,6 +106,11 @@ class ModelConfig:
             object.__setattr__(self, "deep_layers", layers)
         else:
             object.__setattr__(self, "deep_layers", None)
+
+    def for_kind(self, kind: ModelKind | str) -> ModelConfig:
+        """This config with its model kind set to kind (itself when it already is)."""
+        kind = ModelKind(kind)
+        return self if kind is self.model_kind else replace(self, model_kind=kind)
 
 
 @dataclass(frozen=True)

@@ -198,8 +198,7 @@ def _score_chunk(
     workspace: BlockWorkspace,
 ) -> np.ndarray:
     """Scores of a slice of items for one user with history rows Qh."""
-    return forward_block(config.model_kind, config, params, user, items, params.P[items], Qh,
-                         workspace).score
+    return forward_block(config, params, user, items, params.P[items], Qh, workspace).score
 
 
 def baseline_scores(kind: str, split: SplitDataset, seed: int = 0, knn_k: int | None = None):

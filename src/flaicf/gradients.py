@@ -28,16 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import LOGIT_CLAMP, SmoothedSoftmax
-from .config import (
-    AttentionMode,
-    Design,
-    DEEP_KINDS,
-    FLA_KINDS,
-    ModelConfig,
-    ModelKind,
-)
+from .config import AttentionMode, ModelConfig, ModelKind
 from .params import BIAS, PQ, SHARED, ParameterSet, array_shapes
-from .predictors import ForwardCache, PredictionContext, forward_cache, predict
+from .predictors import ForwardCache, PredictionContext, forward_cache
 
 SIGMOID_CLAMP = 1e-12
 
@@ -119,15 +112,17 @@ def backward(
     is given, so the result shares no memory with earlier ones); the P
     and Q rows go into one block, and the l2 term is added to each with
     one operation. train passes one workspace for every step of a run.
+    It walks the forward chain (predictors) back: the head, the weights,
+    then the shared hidden layer.
     """
-    kind = config.model_kind
     ctx = cache.ctx
     g = score_grad(cache.score, label)
     decay = 2.0 * l2
     entries: list = []
     grads = GradientSet(entries)
 
-    if kind in DEEP_KINDS:
+    tower = config.deep_layers is not None
+    if tower:
         idx = np.array([ctx.user, params.n_users + ctx.target])
         bias = params.get(BIAS).take(idx)
         dbias = np.array((g, g))
@@ -144,7 +139,7 @@ def backward(
     dp, dQh = dpq[0], dpq[1:]
     entries.append((PQ, idx, dpq, pq))
 
-    if kind is ModelKind.FISM:
+    if config.model_kind is ModelKind.FISM:
         c = ctx.history.size ** (-config.alpha)
         np.multiply(g * c, Qh.sum(axis=0), out=dp)
         np.multiply(g * c, p, out=dQh)
@@ -155,56 +150,37 @@ def backward(
     ws = params.zeros_like() if workspace is None else workspace
     flat = ws.get(SHARED)
     entries.append((SHARED, ..., flat, params.get(SHARED)))
-
-    concat = kind is ModelKind.NAIS and config.attention_mode is AttentionMode.CONCAT
     beta = config.beta
 
-    # Head of the chain: push g down to the attention weights and the
-    # direct (non-attention) use of the embeddings.
-    if kind is ModelKind.NAIS:
-        w = cache.item.weights
-        dw = g * cache.inner
-        dp += g * (w @ Qh)
-        dQh += g * w[:, None] * p[None, :]
-        dX = None
-    elif kind is ModelKind.FLA_NAIS:
-        dA = g * cache.X
-        dX = g * cache.A
-    elif kind is ModelKind.DEEPICF:
-        de = _deep_vjp(cache, params, g, ws)
-        w = cache.item.weights
-        dw = cache.X @ de
-        dX = w[:, None] * de[None, :]
-    elif kind is ModelKind.FLA_DICF:
-        de = _deep_vjp(cache, params, g, ws)
-        dA = cache.X * de[None, :]
-        dX = cache.A * de[None, :]
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
+    # The head: de = d score / d e for the pooled interaction e = sum_j
+    # weights_j * X_j, the tower's VJP or g in every feature for the sum.
+    de = _deep_vjp(cache, params, g, ws) if tower else np.full(p.shape, g)
 
-    # Attention-weight production backward.
-    if kind in FLA_KINDS:
-        if config.design is Design.DESIGN1:
-            db_item = (cache.row_s * dA).sum(axis=1)
-            ds = cache.item.weights[:, None] * dA
-            da_hat = _row_softmax_vjp(cache.row_s, ds)
-            dv = _smoothed_vjp(cache.item, db_item, beta)
-            np.matmul(cache.R.T, da_hat, out=ws.H)
-            np.matmul(cache.R.T, dv, out=ws.h)
-            dR = da_hat @ params.H.T + dv[:, None] * params.h[None, :]
+    # The weights: feature weights A, or item weights w; then their
+    # softmaxes down to the hidden layer's output R.
+    if config.feature_attention:
+        dA = cache.X * de
+        dX = cache.A * de
+        if config.item_attention:  # Design 1: A = w * row softmax
+            dw = (cache.row_s * dA).sum(axis=1)
+            da_hat = _row_softmax_vjp(cache.row_s, cache.item.weights[:, None] * dA)
         else:
             da_hat = _smoothed_vjp(cache.cols, dA, beta)
-            np.matmul(cache.R.T, da_hat, out=ws.H)
-            dR = da_hat @ params.H.T
+        np.matmul(cache.R.T, da_hat, out=ws.H)
+        dR = da_hat @ params.H.T
     else:
+        dw = cache.X @ de
+        dX = cache.item.weights[:, None] * de
+    if config.item_attention:
         dv = _smoothed_vjp(cache.item, dw, beta)
         np.matmul(cache.R.T, dv, out=ws.h)
-        dR = dv[:, None] * params.h[None, :]
+        dR_item = dv[:, None] * params.h
+        dR = dR + dR_item if config.feature_attention else dR_item
 
     # Shared hidden layer backward.
     dZ = dR * cache.M
     dZ.sum(axis=0, out=ws.b)
-    if concat:
+    if config.attention_mode is AttentionMode.CONCAT:
         d = config.d
         dz_total = dZ.sum(axis=0)
         ws.W[:, :d] = np.outer(dz_total, p)
@@ -213,9 +189,9 @@ def backward(
         dQh += dZ @ params.W[:, d:]
     else:
         np.matmul(dZ.T, cache.X, out=ws.W)
-        dX = dZ @ params.W if dX is None else dX + dZ @ params.W
-        dp += (dX * Qh).sum(axis=0)
-        dQh += dX * p[None, :]
+        dX = dX + dZ @ params.W
+    dp += (dX * Qh).sum(axis=0)
+    dQh += dX * p
 
     if l2 != 0.0:
         flat += decay * params.get(SHARED)
@@ -237,7 +213,6 @@ def touched_parameters(ctx: PredictionContext, config: ModelConfig) -> list[tupl
 
 
 def instance_objective(
-    model_kind: ModelKind,
     ctx: PredictionContext,
     label: float,
     params: ParameterSet,
@@ -245,7 +220,7 @@ def instance_objective(
     l2: float = 0.0,
 ) -> float:
     """Data loss plus l2 penalty over the touched parameters (forward only)."""
-    loss = instance_data_loss(predict(model_kind, ctx, params, config), label)
+    loss = instance_data_loss(forward_cache(ctx, params, config).score, label)
     if l2 != 0.0:
         for name, idx in touched_parameters(ctx, config):
             arr = params.get(name)
@@ -255,7 +230,6 @@ def instance_objective(
 
 
 def finite_difference_grads(
-    model_kind: ModelKind,
     ctx: PredictionContext,
     label: float,
     params: ParameterSet,
@@ -274,9 +248,9 @@ def finite_difference_grads(
     def diff_at(arr: np.ndarray, pos: tuple) -> float:
         orig = arr[pos]
         arr[pos] = orig + step
-        hi = instance_objective(model_kind, ctx, label, work, config, l2)
+        hi = instance_objective(ctx, label, work, config, l2)
         arr[pos] = orig - step
-        lo = instance_objective(model_kind, ctx, label, work, config, l2)
+        lo = instance_objective(ctx, label, work, config, l2)
         arr[pos] = orig
         return (hi - lo) / (2.0 * step)
 
@@ -372,26 +346,27 @@ def gradcheck(
     smooth within the difference step), runs backward for labels 1 and 0,
     and reports the per-array maximum relative error. A failed check is a
     report outcome, not an exception. The small l2 exercises the
-    regularization path of the gradient.
+    regularization path of the gradient. model_kind overrides
+    model_config's kind.
     """
-    kind = ModelKind(model_kind)
+    config = model_config.for_kind(model_kind)
     for attempt in range(64):
         inst_seed = seed + 7919 * attempt
         rng = np.random.default_rng(inst_seed)
         item_count = history_size + 4
         user_count = 3
-        params = _random_check_params(model_config, item_count, user_count, rng)
+        params = _random_check_params(config, item_count, user_count, rng)
         target = int(rng.integers(item_count))
         rest = np.setdiff1d(np.arange(item_count), [target])
         hist = rng.choice(rest, size=history_size, replace=False)
         ctx = PredictionContext(user=1, target=target, history=np.sort(hist))
-        cache = forward_cache(kind, ctx, params, model_config)
+        cache = forward_cache(ctx, params, config)
         if not _margins_ok(cache, step):
             continue
         per_array: dict[str, float] = {}
         for label in (1.0, 0.0):
-            grads = backward(cache, label, params, model_config, l2)
-            fd = finite_difference_grads(kind, ctx, label, params, model_config, l2, step)
+            grads = backward(cache, label, params, config, l2)
+            fd = finite_difference_grads(ctx, label, params, config, l2, step)
             for name, err in relative_errors(grads.by_array(params), fd.by_array(params)).items():
                 per_array[name] = max(per_array.get(name, 0.0), err)
         max_error = max(per_array.values()) if per_array else 0.0

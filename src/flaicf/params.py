@@ -27,14 +27,7 @@ import math
 
 import numpy as np
 
-from .config import (
-    AttentionMode,
-    Design,
-    DEEP_KINDS,
-    FLA_KINDS,
-    ModelConfig,
-    ModelKind,
-)
+from .config import AttentionMode, Design, ModelConfig, ModelKind
 from .data import atomic_open
 
 INIT_STD = 0.01
@@ -60,23 +53,19 @@ class CheckpointSizeError(CheckpointError):
 
 def array_shapes(config: ModelConfig, item_count: int, user_count: int) -> dict[str, tuple[int, ...]]:
     """Canonically ordered array names and shapes for a model kind."""
-    kind = config.model_kind
     d, dp = config.d, config.d_prime
     shapes: dict[str, tuple[int, ...]] = {
         "P": (item_count, d),
         "Q": (item_count, d),
     }
-    if kind is not ModelKind.FISM:
-        in_dim = 2 * d if (kind is ModelKind.NAIS and config.attention_mode is AttentionMode.CONCAT) else d
-        shapes["W"] = (dp, in_dim)
+    if config.model_kind is not ModelKind.FISM:
+        shapes["W"] = (dp, 2 * d if config.attention_mode is AttentionMode.CONCAT else d)
         shapes["b"] = (dp,)
-        if kind in FLA_KINDS:
-            shapes["H"] = (dp, d)
-            if config.design is Design.DESIGN1:
-                shapes["h"] = (dp,)
-        else:
-            shapes["h"] = (dp,)
-    if kind in DEEP_KINDS:
+    if config.feature_attention:
+        shapes["H"] = (dp, d)
+    if config.item_attention:
+        shapes["h"] = (dp,)
+    if config.deep_layers is not None:
         prev = d
         for l, size in enumerate(config.deep_layers):
             shapes[f"deep_W.{l}"] = (size, prev)

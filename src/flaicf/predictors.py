@@ -3,12 +3,27 @@
 All five models score a (user, target item) pair against the user's
 training history, and forward_block scores every kind, for one target or
 for a block of candidate targets: an empty history's constant fallback,
-FISM's closed form, or the attentive kinds' shared hidden layer, item
-and/or feature softmax and inner-product or deep-tower head. Training
-runs it with one target (forward_cache, which gathers the P/Q rows and
-keeps every intermediate the exact backward pass needs), ranking with
-blocks of items (evaluation.model_scorer, blocks of block_rows items),
-and the attention views read its weights.
+FISM's closed form, or the attentive chain. Every attentive kind is one
+chain: the shared hidden layer over the interactions X_j = p * q_j, then
+the weights, then the head.
+
+- Weights: item weights w_j from the smoothed softmax over h (NAIS,
+  DeepICF), used as w_j in every feature, or feature weights A_j from H
+  (FLA: Design 2's per-feature softmax, or Design 1's row softmax scaled
+  by w_j).
+- Head: a sum, score = sum_j sum_t weights_jt X_jt (NAIS, FLA_NAIS), or
+  the deep tower over e = sum_j weights_j * X_j plus the user's and the
+  target's bias (DeepICF, FLA_DICF).
+
+So NAIS and DeepICF are their FLA variants with weights shared by every
+feature: acceptance 3 checks that uniform feature weights reduce FLA to
+the item-weighted model. ModelConfig decides once which weights a kind
+has (item_attention, feature_attention), and deep_layers marks the tower.
+
+Training runs forward_block with one target (forward_cache, which
+gathers the P/Q rows and keeps every intermediate the exact backward
+pass needs), ranking with blocks of items (evaluation.model_scorer,
+blocks of block_rows items), and the attention views read its weights.
 
 Ranking budgets its blocks (BLOCK) and writes every candidate x history
 intermediate into one BlockWorkspace that it reuses from block to block,
@@ -36,7 +51,7 @@ from .attention import (
     hidden_concat,
     hidden_prod,
 )
-from .config import AttentionMode, Design, DEEP_KINDS, FLA_KINDS, ModelConfig, ModelKind
+from .config import AttentionMode, ModelConfig, ModelKind
 from .params import PQ, ParameterSet
 
 
@@ -62,11 +77,17 @@ class PredictionContext:
 
 @dataclass
 class ForwardCache:
-    """Every intermediate of one forward pass, keyed by the model kind.
+    """Every intermediate of one forward pass, along the attentive chain.
 
-    For a block of candidate targets every array has a leading candidate
-    axis and score holds one value per candidate. forward_cache adds the
-    target's and the history's rows of the P/Q table (pq) and their indices.
+    X, Z and R are the shared hidden layer's interactions, pre-activations
+    and outputs. The weights are item (item_logits, item: NAIS, DeepICF,
+    Design 1) and/or feature ones (a_hat, then row_s for Design 1 or cols
+    for Design 2, giving A); the fields of the weights a kind lacks stay
+    None. The tower head keeps its pooled interaction e and its layers'
+    deep_z and deep_u. For a block of candidate targets every array has a
+    leading candidate axis and score holds one value per candidate.
+    forward_cache adds the target's and the history's rows of the P/Q
+    table (pq) and their indices.
     """
 
     config: ModelConfig
@@ -76,7 +97,6 @@ class ForwardCache:
     X: np.ndarray | None = None
     Z: np.ndarray | None = None
     R: np.ndarray | None = None
-    inner: np.ndarray | None = None
     item_logits: np.ndarray | None = None
     item: SmoothedSoftmax | None = None
     a_hat: np.ndarray | None = None
@@ -183,7 +203,6 @@ class BlockWorkspace:
 
 
 def forward_block(
-    kind: ModelKind,
     config: ModelConfig,
     params: ParameterSet,
     user: int,
@@ -192,7 +211,7 @@ def forward_block(
     Q_hist: np.ndarray,
     workspace: BlockWorkspace | None = None,
 ) -> ForwardCache:
-    """Forward pass of any kind for one user: one target, or a block of them.
+    """Forward pass of config's kind for one user: one target, or a block of them.
 
     target is the target item (an int) with p its row of P (d), or a
     slice of c candidate items with p their rows (c x d); Q_hist holds the
@@ -208,10 +227,11 @@ def forward_block(
     the one computed without a workspace.
     """
     m = Q_hist.shape[0]
-    bias = params.b_user[user] + params.b_item[target] if kind in DEEP_KINDS else None
+    tower = config.deep_layers is not None
+    bias = params.b_user[user] + params.b_item[target] if tower else None
     if m == 0:
         return ForwardCache(config, score=np.zeros(p.shape[:-1]) if bias is None else bias, empty=True)
-    if kind is ModelKind.FISM:
+    if config.model_kind is ModelKind.FISM:
         # one target sums the m products, as training always has; a block
         # sums the history first, O(c d) instead of O(c m d)
         summed = (Q_hist @ p).sum() if p.ndim == 1 else p @ Q_hist.sum(axis=0)
@@ -224,23 +244,24 @@ def forward_block(
         cm = p.shape[:-1] + (m,)
         cmd, cmdp = cm + (Q_hist.shape[1],), cm + (params.W.shape[0],)
     cache = ForwardCache(config=config)
-    if kind is ModelKind.NAIS and config.attention_mode is AttentionMode.CONCAT:
+    if config.attention_mode is AttentionMode.CONCAT:
         out = (None, None) if ws is None else (ws.take("Z", cmdp), ws.take("R", cmdp))
         cache.Z, cache.R = hidden_concat(p, Q_hist, params.W, params.b, out)
+        # the head reads the interactions that PROD's hidden layer builds
+        cache.X = np.multiply(p[..., None, :], Q_hist, out=None if ws is None else ws.take("X", cmd))
     else:
         out = (None, None, None) if ws is None else (
             ws.take("X", cmd), ws.take("Z", cmdp), ws.take("R", cmdp))
         cache.X, cache.Z, cache.R = hidden_prod(p, Q_hist, params.W, params.b, out)
 
-    if kind not in FLA_KINDS or config.design is Design.DESIGN1:
+    if config.item_attention:
         out = None if ws is None else ws.take("item_logits", cm)
         cache.item_logits = np.matmul(cache.R, params.h, out=out)
         out = (None, None) if ws is None else (ws.take("item_exp", cm), ws.take("item_weights", cm))
         cache.item = _smoothed_parts(cache.item_logits, config.beta, out)
-
-    if kind in FLA_KINDS:
+    if config.feature_attention:
         cache.a_hat = np.matmul(cache.R, params.H, out=None if ws is None else ws.take("a_hat", cmd))
-        if config.design is Design.DESIGN1:
+        if config.item_attention:
             cache.row_s = _row_softmax(cache.a_hat, None if ws is None else ws.take("row_s", cmd))
             out = None if ws is None else ws.take("A", cmd)
             cache.A = np.multiply(cache.item.weights[..., None], cache.row_s, out=out)
@@ -248,32 +269,26 @@ def forward_block(
             out = (None, None) if ws is None else (ws.take("col_exp", cmd), ws.take("A", cmd))
             cache.cols = _col_smoothed_parts(cache.a_hat, config.beta, out)
             cache.A = cache.cols.weights
+        weights = cache.A
+    else:
+        weights = cache.item.weights[..., None]
 
-    if kind is ModelKind.NAIS:
-        cache.inner = np.matmul(p, Q_hist.T, out=None if ws is None else ws.take("inner", cm))
-        # one dot product per candidate; a summed elementwise product
-        # would add the terms in another order
-        cache.score = (cache.item.weights[..., None, :] @ cache.inner[..., None])[..., 0, 0]
-    elif kind is ModelKind.FLA_NAIS:
-        out = None if ws is None else ws.take("AX", cmd)
-        cache.score = np.multiply(cache.A, cache.X, out=out).sum(axis=(-2, -1))
-    elif kind in DEEP_KINDS:
-        weights = cache.A if kind is ModelKind.FLA_DICF else cache.item.weights[..., None]
+    if tower:
         cache.e = np.einsum("...md,...md->...d", weights, cache.X)
         cache.score = deep_tower(cache, cache.e, params) + bias
     else:
-        raise ValueError(f"unknown model kind {kind!r}")
+        out = None if ws is None else ws.take("AX", cmd)
+        cache.score = np.multiply(weights, cache.X, out=out).sum(axis=(-2, -1))
     return cache
 
 
 def forward_cache(
-    model_kind: ModelKind,
     ctx: PredictionContext,
     params: ParameterSet,
     config: ModelConfig,
     pq: np.ndarray | None = None,
 ) -> ForwardCache:
-    """Run one forward pass, retaining intermediates for backward.
+    """Run one forward pass of config's kind, retaining intermediates for backward.
 
     The target's and the history's rows are gathered with one index into
     the P/Q table pq (params' PQ segment when not given).
@@ -285,7 +300,7 @@ def forward_cache(
     idx[0] = ctx.target
     np.add(hist, pq.shape[0] // 2, out=idx[1:])
     rows = pq.take(idx, axis=0)
-    cache = forward_block(model_kind, config, params, ctx.user, ctx.target, rows[0], rows[1:])
+    cache = forward_block(config, params, ctx.user, ctx.target, rows[0], rows[1:])
     cache.score = float(cache.score)
     cache.ctx, cache.idx, cache.pq = ctx, idx, rows
     return cache
@@ -294,23 +309,23 @@ def forward_cache(
 def predict_fism(ctx: PredictionContext, params: ParameterSet, alpha: float) -> float:
     """History-length-normalized sum of target-history inner products."""
     config = ModelConfig(model_kind=ModelKind.FISM, d=params.P.shape[1], alpha=alpha)
-    return forward_cache(ModelKind.FISM, ctx, params, config).score
+    return forward_cache(ctx, params, config).score
 
 
 def predict_nais(ctx: PredictionContext, params: ParameterSet, config: ModelConfig) -> float:
-    return forward_cache(ModelKind.NAIS, ctx, params, config).score
+    return predict(ModelKind.NAIS, ctx, params, config)
 
 
 def predict_fla(ctx: PredictionContext, params: ParameterSet, config: ModelConfig) -> float:
-    return forward_cache(ModelKind.FLA_NAIS, ctx, params, config).score
+    return predict(ModelKind.FLA_NAIS, ctx, params, config)
 
 
 def deepicf_forward(ctx: PredictionContext, params: ParameterSet, config: ModelConfig) -> float:
-    return forward_cache(ModelKind.DEEPICF, ctx, params, config).score
+    return predict(ModelKind.DEEPICF, ctx, params, config)
 
 
 def fla_dicf_forward(ctx: PredictionContext, params: ParameterSet, config: ModelConfig) -> float:
-    return forward_cache(ModelKind.FLA_DICF, ctx, params, config).score
+    return predict(ModelKind.FLA_DICF, ctx, params, config)
 
 
 def predict(
@@ -319,8 +334,8 @@ def predict(
     params: ParameterSet,
     config: ModelConfig,
 ) -> float:
-    """Dispatch to the model kind's forward pass."""
-    return forward_cache(ModelKind(model_kind), ctx, params, config).score
+    """The score of model_kind, with config's other hyperparameters."""
+    return forward_cache(ctx, params, config.for_kind(model_kind)).score
 
 
 def attention_for(
@@ -329,10 +344,9 @@ def attention_for(
     config: ModelConfig,
 ) -> AttentionOutput:
     """Attention weights a trained model assigns to one context's history."""
-    kind = config.model_kind
-    if kind is ModelKind.FISM:
+    if config.model_kind is ModelKind.FISM:
         raise ValueError("FISM assigns no attention weights")
-    cache = forward_cache(kind, ctx, params, config)
+    cache = forward_cache(ctx, params, config)
     if cache.empty:
         raise ValueError("attention is undefined for an empty history")
     return cache.attention()

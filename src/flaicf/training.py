@@ -164,11 +164,12 @@ def train(
 ) -> tuple[ParameterSet, list[MetricsRecord]]:
     """Train one model, returning best-validation parameters and the log.
 
-    Determinism: a single generator seeded from train_config.seed drives
-    initialization order, negative sampling and instance shuffling, so
-    equal configs give bitwise-equal results.
+    model_kind overrides model_config's kind. Determinism: a single
+    generator seeded from train_config.seed drives initialization order,
+    negative sampling and instance shuffling, so equal configs give
+    bitwise-equal results.
     """
-    kind = ModelKind(model_kind)
+    model_config = model_config.for_kind(model_kind)
     n_items = split.train.item_count
     n_users = split.train.user_count
     params = init_parameters(model_config, n_items, n_users, train_config.seed, pretrained)
@@ -198,7 +199,7 @@ def train(
                 # history_for drops the target, so PredictionContext's check is not repeated
                 ctx.user, ctx.target, ctx.history = u, i, history_for(pos_by_user[u], i, y)
                 try:
-                    cache = forward_cache(kind, ctx, params, model_config, pq)
+                    cache = forward_cache(ctx, params, model_config, pq)
                     loss = instance_data_loss(cache.score, y)
                     if not (math.isfinite(cache.score) and math.isfinite(loss)):
                         raise NonFiniteError(f"score {cache.score}, loss {loss}")

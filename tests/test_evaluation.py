@@ -257,7 +257,7 @@ def test_forward_block_workspace_is_bitwise_and_reused(cfg):
     workspace = BlockWorkspace()
     first = None
     for c, hist in ((6, [7, 8, 9, 10, 11]), (4, [8, 12, 13])):
-        args = (cfg.model_kind, cfg, params, 1, slice(0, c), params.P[:c], params.Q[hist])
+        args = (cfg, params, 1, slice(0, c), params.P[:c], params.Q[hist])
         fresh = forward_block(*args)
         cache = forward_block(*args, workspace)
         np.testing.assert_array_equal(cache.score, fresh.score)
@@ -289,8 +289,7 @@ def test_blocked_scorer_matches_one_block(cfg):
         rows = block_rows(cfg, hist.size, 400)
         # three blocks or more; FISM sums the history first and takes one
         assert rows == 400 if cfg.model_kind is ModelKind.FISM else rows <= 400 // 3
-        whole = forward_block(cfg.model_kind, cfg, params, user, slice(None), params.P,
-                              params.Q[hist]).score
+        whole = forward_block(cfg, params, user, slice(None), params.P, params.Q[hist]).score
         blocked = scorer(user)
         np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=0.0)
         top = lambda scores: np.argsort(-scores, kind="stable")[:10]

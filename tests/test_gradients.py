@@ -69,10 +69,10 @@ def test_gradcheck_negated_gradient_control():
     cfg = ModelConfig(model_kind=ModelKind.FLA_NAIS, design=Design.DESIGN2, d=4, d_prime=4)
     params = random_params(cfg, 8, 2, seed=23)
     ctx = PredictionContext(user=0, target=0, history=np.array([1, 2, 3]))
-    cache = forward_cache(cfg.model_kind, ctx, params, cfg)
+    cache = forward_cache(ctx, params, cfg)
     analytic = backward(cache, 1.0, params, cfg, l2=0.0).by_array(params)
     analytic["H"] = -analytic["H"]
-    numeric = finite_difference_grads(cfg.model_kind, ctx, 1.0, params, cfg).by_array(params)
+    numeric = finite_difference_grads(ctx, 1.0, params, cfg).by_array(params)
     errors = relative_errors(analytic, numeric)
     assert errors["H"] == pytest.approx(2.0, abs=0.05)
     assert max(v for k, v in errors.items() if k != "H") < 1e-4
@@ -90,14 +90,14 @@ def test_gradcheck_misplaced_row_control(segment, position, wrong, arrays):
     cfg = ModelConfig(model_kind=ModelKind.DEEPICF, d=4, d_prime=4)
     params = random_params(cfg, 8, 3, seed=28)
     ctx = PredictionContext(user=0, target=2, history=np.array([1, 3, 6]))
-    cache = forward_cache(cfg.model_kind, ctx, params, cfg)
+    cache = forward_cache(ctx, params, cfg)
     grads = backward(cache, 1.0, params, cfg, l2=1e-3)
     [k] = [k for k, entry in enumerate(grads.segments) if entry[0] == segment]
     _, idx, grad, theta = grads.segments[k]
     idx = idx.copy()
     idx[position] = wrong
     grads.segments[k] = (segment, idx, grad, theta)
-    numeric = finite_difference_grads(cfg.model_kind, ctx, 1.0, params, cfg, l2=1e-3)
+    numeric = finite_difference_grads(ctx, 1.0, params, cfg, l2=1e-3)
     errors = relative_errors(grads.by_array(params), numeric.by_array(params))
     for name in arrays:
         assert errors[name] == pytest.approx(1.0, abs=1e-9), name
@@ -108,7 +108,7 @@ def test_untouched_rows_get_no_gradient():
     cfg = ModelConfig(model_kind=ModelKind.DEEPICF, d=4, d_prime=4)
     params = random_params(cfg, 10, 4, seed=24)
     ctx = PredictionContext(user=2, target=1, history=np.array([4, 7]))
-    cache = forward_cache(cfg.model_kind, ctx, params, cfg)
+    cache = forward_cache(ctx, params, cfg)
     by_array = backward(cache, 1.0, params, cfg, l2=0.0).by_array(params)
 
     def written_rows(name):
@@ -125,7 +125,7 @@ def test_touched_parameters_cover_backward_outputs():
     for cfg in GRADCHECK_MATRIX:
         params = random_params(cfg, 9, 3, seed=25)
         ctx = PredictionContext(user=1, target=0, history=np.array([2, 5]))
-        cache = forward_cache(cfg.model_kind, ctx, params, cfg)
+        cache = forward_cache(ctx, params, cfg)
         grads = backward(cache, 0.0, params, cfg, l2=1e-3)
         contract = {name for name, _ in touched_parameters(ctx, cfg)}
         # with l2 > 0 every touched parameter gets a nonzero gradient
@@ -137,7 +137,7 @@ def test_l2_term_shifts_gradient_by_2_lambda_theta():
     cfg = ModelConfig(model_kind=ModelKind.NAIS, d=4, d_prime=4)
     params = random_params(cfg, 6, 1, seed=26)
     ctx = PredictionContext(user=0, target=0, history=np.array([1, 2]))
-    cache = forward_cache(cfg.model_kind, ctx, params, cfg)
+    cache = forward_cache(ctx, params, cfg)
     plain = backward(cache, 1.0, params, cfg, l2=0.0).by_array(params)
     reg = backward(cache, 1.0, params, cfg, l2=0.1).by_array(params)
     np.testing.assert_allclose(reg["W"], plain["W"] + 2 * 0.1 * params.W, atol=1e-12)
@@ -160,8 +160,8 @@ def test_gradcheck_exercises_both_labels_and_reg():
     params = random_params(cfg, 8, 1, seed=27)
     ctx = PredictionContext(user=0, target=0, history=np.array([1, 2, 3]))
     for label in (1.0, 0.0):
-        cache = forward_cache(cfg.model_kind, ctx, params, cfg)
+        cache = forward_cache(ctx, params, cfg)
         grads = backward(cache, label, params, cfg, l2=1e-3)
-        numeric = finite_difference_grads(cfg.model_kind, ctx, label, params, cfg, l2=1e-3)
+        numeric = finite_difference_grads(ctx, label, params, cfg, l2=1e-3)
         errors = relative_errors(grads.by_array(params), numeric.by_array(params))
         assert max(errors.values()) < 1e-4, (label, errors)

@@ -251,7 +251,7 @@ def test_forward_cache_exposes_score_and_pool():
     cfg = ModelConfig(model_kind=ModelKind.DEEPICF, d=4, d_prime=4)
     params = random_params(cfg, 7, 2, seed=19)
     ctx = ctx_for(3)
-    cache = forward_cache(ModelKind.DEEPICF, ctx, params, cfg)
+    cache = forward_cache(ctx, params, cfg)
     assert cache.score == pytest.approx(deepicf_forward(ctx, params, cfg), rel=1e-12)
     assert cache.e is not None
     assert not cache.empty

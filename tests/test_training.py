@@ -332,9 +332,9 @@ def test_segment_update_equals_per_array_update(cfg):
         ctx = PredictionContext(int(rng.integers(n_users)), int(items[0]),
                                 np.sort(items[1 : 1 + int(rng.integers(1, 6))]))
         label = float(rng.integers(2))
-        grads = backward(forward_cache(cfg.model_kind, ctx, flat, cfg), label, flat, cfg, l2=1e-3)
+        grads = backward(forward_cache(ctx, flat, cfg), label, flat, cfg, l2=1e-3)
         adagrad_step(flat, grads, state_flat, 0.05)
-        grads = backward(forward_cache(cfg.model_kind, ctx, split, cfg), label, split, cfg, l2=1e-3)
+        grads = backward(forward_cache(ctx, split, cfg), label, split, cfg, l2=1e-3)
         per_array_adagrad(split, grads, ctx, cfg, acc_split, 0.05)
     assert flat.flat().tobytes() == split.flat().tobytes()
     for name, _ in flat.arrays():
@@ -359,7 +359,7 @@ def test_train_equals_a_loop_of_the_public_steps(cfg):
     for idx in rng.permutation(users.size):
         u, i, y = int(users[idx]), int(items[idx]), float(labels[idx])
         ctx = PredictionContext(u, i, history_for(pos_by_user[u], i, y))
-        cache = forward_cache(cfg.model_kind, ctx, ref, cfg)
+        cache = forward_cache(ctx, ref, cfg)
         loss_sum += instance_data_loss(cache.score, y)
         grads = backward(cache, y, ref, cfg, tc.l2)
         adagrad_step(ref, grads, state, tc.learning_rate, tc.adagrad_epsilon)
@@ -377,7 +377,7 @@ def test_backward_without_a_workspace_never_reuses_memory(cfg):
     params = init_parameters(cfg, 9, 3, seed=5)
     params.flat()[:] = np.random.default_rng(5).normal(0.0, 0.5, size=params.flat().size)
     ctx = PredictionContext(user=1, target=0, history=np.array([2, 5, 7]))
-    cache = forward_cache(cfg.model_kind, ctx, params, cfg)
+    cache = forward_cache(ctx, params, cfg)
     first, second = (backward(cache, label, params, cfg, l2=1e-3) for label in (1.0, 0.0))
 
     def arrays(grads):
