@@ -221,14 +221,7 @@ def train(
             n=train_config.eval_n,
             workers=train_config.eval_workers,
         )
-        record = MetricsRecord(
-            epoch=epoch,
-            split="valid",
-            loss=epoch_loss,
-            hr=val.hr,
-            ndcg=val.ndcg,
-            n=train_config.eval_n,
-        )
+        record = replace(val, epoch=epoch, loss=epoch_loss)
         records.append(record)
         if log_fn is not None:
             log_fn(record)

@@ -199,6 +199,15 @@ def test_training_reduces_loss_on_toy_data():
     assert records[-1].loss < records[0].loss
 
 
+def test_epoch_records_count_the_validation_users():
+    split = split_per_user(random_dataset(8, n_users=12, n_items=15, min_items=5), seed=1)
+    users = sum(1 for items in split.valid.items_by_user if items.size)
+    assert users > 0
+    cfg = ModelConfig(model_kind=ModelKind.FISM, d=4)
+    _, records = train(ModelKind.FISM, split, cfg, quick_train_config(epochs=2))
+    assert [r.to_dict()["users_evaluated"] for r in records] == [users, users]
+
+
 def test_training_bitwise_deterministic():
     split = split_per_user(random_dataset(9, n_users=10, n_items=14, min_items=4), seed=2)
     cfg = ModelConfig(model_kind=ModelKind.FLA_NAIS, d=4, d_prime=4)
