@@ -96,6 +96,11 @@ class RunConfig:
 
     values: dict
 
+    def __post_init__(self) -> None:
+        # every command seeds a numpy generator, which takes no negative seed
+        if self.values["seed"] < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.values['seed']}")
+
     def model_config(self) -> ModelConfig:
         return ModelConfig(
             model_kind=self.values["model"],
@@ -316,15 +321,12 @@ def _write_metrics(stem: Path, records) -> None:
 
 def cmd_evaluate(config: RunConfig, suffix: str = "") -> dict:
     _require(config, "data_dir")
+    train_config = config.train_config()
+    n = train_config.eval_n
     split = load_split(config.values["data_dir"])
     on = config.values["split"]
     if on not in ("valid", "test"):
         raise CliError(f"split must be valid or test, got {on!r}")
-    n = config.values["eval_n"]
-    if n < 1:
-        raise ConfigError(f"eval_n must be >= 1, got {n}")
-    if config.values["eval_workers"] < 1:
-        raise ConfigError(f"eval_workers must be >= 1, got {config.values['eval_workers']}")
     if config.values["baseline"]:
         scorer = baseline_scores(
             config.values["baseline"],
@@ -338,7 +340,7 @@ def cmd_evaluate(config: RunConfig, suffix: str = "") -> dict:
         _require(config, "checkpoint")
         params, model_config = _load_checkpoint_for(config.values["checkpoint"], split)
         record = evaluate_model(
-            params, model_config, split, on, n, workers=config.values["eval_workers"]
+            params, model_config, split, on, n, workers=train_config.eval_workers
         )
         source = model_config.model_kind.value
     line = record.to_line()

@@ -355,6 +355,10 @@ MALFORMED_VALUES = {
     "prepare-k_user": ["prepare", "--k_user", "0"],
     "prepare-ratios-sum": ["prepare", "--ratios", "0.5,0.5"],
     "prepare-ratios-text": ["prepare", "--ratios", "a,b,c"],
+    "train-seed": ["train", "--seed", "-1"],
+    "prepare-seed": ["prepare", "--seed", "-1"],
+    "gradcheck-seed": ["gradcheck", "--seed", "-1"],
+    "evaluate-seed": ["evaluate", "--baseline", "RANDOM", "--seed", "-1"],
 }
 
 
