@@ -6,8 +6,12 @@ A refactor that renames one of them, or stops calling through it, would
 leave a traced benchmark run without that layer's figures; this test
 makes that a tier-1 failure. It trains, which also validates, and then
 ranks the test split serially, as the benchmark's ranking phase does.
+
+The other test here keeps the program's module attributes honest the
+other way round: a name a module imports and never uses is reported.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -16,7 +20,8 @@ from flaicf.config import Design, ModelConfig, ModelKind, TrainConfig
 from flaicf.data import split_per_user
 from tests.conftest import random_dataset
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 SPANS = (
     "predictors.forward_cache",
     "gradients.backward",
@@ -49,3 +54,33 @@ def test_traced_training_records_every_layer_span():
     missing = [name for name in SPANS if tracer.calls_of(name) == 0]
     missing += [f"rank:{name}" for name in RANK_SPANS if tracer.calls_of(name, "rank") == 0]
     assert not missing, f"spans never recorded: {missing}"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module's source imports but never reads, except those in __all__."""
+    tree = ast.parse(source)
+    imported, read, exported = {}, set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items()
+            if name not in read and name not in exported]
+
+
+def test_unused_imports_are_found():
+    source = "import os\nfrom math import pi, tau\n__all__ = ['tau']\nprint(os.sep)\n"
+    assert unused_imports(source) == ["pi (line 2)"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "flaicf").glob("*.py"))
+             if path.name != "__init__.py"}
+    assert not {name: names for name, names in found.items() if names}

@@ -71,6 +71,27 @@ def test_frozen():
         cfg.d = 32
 
 
+@pytest.mark.parametrize("kind,design,item,feature", [
+    (ModelKind.FISM, Design.DESIGN1, False, False),
+    (ModelKind.NAIS, Design.DESIGN1, True, False),
+    (ModelKind.DEEPICF, Design.DESIGN2, True, False),
+    (ModelKind.FLA_NAIS, Design.DESIGN1, True, True),
+    (ModelKind.FLA_NAIS, Design.DESIGN2, False, True),
+    (ModelKind.FLA_DICF, Design.DESIGN1, True, True),
+    (ModelKind.FLA_DICF, Design.DESIGN2, False, True),
+])
+def test_attention_structure_is_derived_once(kind, design, item, feature):
+    cfg = ModelConfig(model_kind=kind, design=design)
+    assert (cfg.item_attention, cfg.feature_attention) == (item, feature)
+    with pytest.raises(Exception):
+        cfg.item_attention = not item
+    # derived, not fields: for_kind (dataclasses.replace) derives them again
+    nais = cfg.for_kind(ModelKind.NAIS)
+    assert (nais.item_attention, nais.feature_attention) == (True, False)
+    assert nais.design is design and nais.d == cfg.d
+    assert cfg.for_kind(kind) is cfg
+
+
 @pytest.mark.parametrize("field,value", [
     ("learning_rate", 0.0),
     ("l2", -1e-6),

@@ -64,6 +64,12 @@ def test_gradcheck_matrix(cfg):
     assert report.max_error < 1e-4
 
 
+def test_gradcheck_of_a_kind_other_than_the_configs():
+    report = gradcheck(ModelKind.NAIS, ModelConfig(model_kind=ModelKind.FLA_NAIS, d=8))
+    assert report.passed, report.summary()
+    assert "h" in report.per_array and "H" not in report.per_array
+
+
 def test_gradcheck_negated_gradient_control():
     # corrupting one array must push its relative error to ~2
     cfg = ModelConfig(model_kind=ModelKind.FLA_NAIS, design=Design.DESIGN2, d=4, d_prime=4)

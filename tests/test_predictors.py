@@ -234,6 +234,16 @@ def test_dispatch_matches_direct_calls():
     assert predict(ModelKind.NAIS, ctx, params, cfg) == predict_nais(ctx, params, cfg)
 
 
+def test_views_resolve_their_kind_from_another_config():
+    ctx = ctx_for(4)
+    cfg = ModelConfig(model_kind=ModelKind.FLA_NAIS, design=Design.DESIGN1, d=4, d_prime=3)
+    params = random_params(cfg, 7, 1, seed=21)
+    nais = predict(ModelKind.NAIS, ctx, params, cfg)
+    assert predict_nais(ctx, params, cfg) == nais
+    assert predict(ModelKind.NAIS, ctx, params, cfg.for_kind(ModelKind.NAIS)) == nais
+    assert predict_fla(ctx, params, cfg) == predict(ModelKind.FLA_NAIS, ctx, params, cfg)
+
+
 def test_empty_history_fallbacks():
     empty = PredictionContext(user=1, target=2, history=np.array([], dtype=np.int64))
     for kind in (ModelKind.NAIS, ModelKind.FLA_NAIS, ModelKind.FISM):
