@@ -53,7 +53,7 @@ class ModelConfig:
     item-level and feature-level attention are combined (FLA models),
     attention_mode the NAIS interaction encoding, and deep_layers the
     hidden sizes of the deep tower (DeepICF family; None for the kinds
-    with an inner-product head).
+    without one).
 
     Every attentive kind is one chain: the shared hidden layer, then item
     weights from h or feature weights from H, then the head (predictors).
