@@ -1,11 +1,12 @@
 """Attention layers over history items and their embedding features.
 
-Two weighting levels appear here. Item-level weights (NAIS, DeepICF and
-Design 1) come from a smoothed softmax over per-item logits: weights are
-exp(v_j) divided by the sum of exps raised to beta. Feature-level weights
-assign each history item a full vector of per-feature weights; Design 1
-scales a per-item feature softmax by the item-level weight, Design 2 runs
-a smoothed softmax over the history axis independently for every feature.
+Two weighting levels appear here, and one smoothed softmax serves both:
+weights are exp(v_j) divided by the sum over the history of exps, raised
+to beta, independently in every column of a history x k logit array.
+Item-level weights (NAIS, DeepICF and Design 1) are its one-column case
+(k = 1): an item weight is a feature weight every feature shares.
+Design 2's feature weights are its k = d case, one softmax per feature.
+Design 1 scales a per-item feature softmax by the item-level weight.
 
 predictors.forward_block composes the layers below into the forward
 pass. They take one target (arrays shaped history x features) or a block
@@ -20,9 +21,7 @@ shift invariant and uses max subtraction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -48,11 +47,15 @@ class AttentionOutput:
 
 @dataclass
 class SmoothedSoftmax:
-    """Weights of a smoothed softmax with the pieces its gradient needs."""
+    """Weights of a smoothed softmax with the pieces its gradient needs.
+
+    weights, exp and logits are shaped (..., m, k); denom, the sum of the
+    exps over the history, is (..., k).
+    """
 
     weights: np.ndarray
     exp: np.ndarray
-    denom: float | np.ndarray
+    denom: np.ndarray
     logits: np.ndarray
 
     @property
@@ -71,7 +74,7 @@ def item_logit(p: np.ndarray, q: np.ndarray, W: np.ndarray, b: np.ndarray, h: np
     """Scalar attention logit for one (target, history) pair."""
     params = ParameterSet.from_arrays(0, W=W, b=b, h=h)
     block = _block(ModelKind.NAIS, Design.DESIGN2, AttentionMode.PROD, p, [q], params, 1.0)
-    return float(block.item_logits[0])
+    return float(block.item_logits[0, 0])
 
 
 def normalize_features(logits: np.ndarray) -> np.ndarray:
@@ -86,33 +89,32 @@ def normalize_features(logits: np.ndarray) -> np.ndarray:
 
 def smoothed_softmax(logits: np.ndarray, beta: float) -> np.ndarray:
     """exp(v_j) / (sum_j exp(v_j)) ** beta over a history of logits."""
-    return _smoothed_parts(np.asarray(logits, dtype=float), beta).weights
+    return _smoothed_parts(np.asarray(logits, dtype=float)[:, None], beta).weights[:, 0]
 
 
 def _smoothed_parts(logits: np.ndarray, beta: float, out=(None, None)) -> SmoothedSoftmax:
-    """Smoothed softmax over the history (last) axis of item logits.
+    """Smoothed softmax over the history axis (-2) of logits, per column.
 
-    out holds the arrays the exps and the weights are written into (fresh
-    arrays where None).
+    Item logits have one column, Design 2's feature logits one per
+    feature. out holds the arrays the exps and the weights are written
+    into (fresh arrays where None).
     """
-    if logits.shape[-1] == 0:
-        raise ValueError("smoothed softmax needs at least one logit")
+    if logits.shape[-2] == 0:
+        raise ValueError("smoothed softmax needs at least one history item")
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
     if not np.isfinite(logits).all():
         raise NonFiniteError("logits must be finite")
     e = logits.clip(-LOGIT_CLAMP, LOGIT_CLAMP, out=out[0])
     np.exp(e, out=e)
-    denom = e.sum(axis=-1)
-    # libm's pow, one target at a time: numpy's vectorized power differs
-    # from it in the last bit for some inputs, and a candidate's weights
-    # must not depend on how many candidates share its block.
-    if denom.ndim == 0:
-        scale = float(denom) ** beta
-    else:
-        scale = np.fromiter(map(math.pow, denom.tolist(), repeat(beta)), float, denom.size)[:, None]
-    weights = np.divide(e, scale, out=out[1])
+    denom = e.sum(axis=-2)
+    weights = np.divide(e, denom[..., None, :] ** beta, out=out[1])
     return SmoothedSoftmax(weights=weights, exp=e, denom=denom, logits=logits)
+
+
+# Design 2's column softmax, under its own name so a tracer that wraps
+# predictors' names can time item and feature softmaxes apart.
+_col_smoothed_parts = _smoothed_parts
 
 
 def _row_softmax(a_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -120,23 +122,6 @@ def _row_softmax(a_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     shifted = np.subtract(a_hat, a_hat.max(axis=-1, keepdims=True), out=out)
     np.exp(shifted, out=shifted)
     return np.divide(shifted, shifted.sum(axis=-1, keepdims=True), out=shifted)
-
-
-def _col_smoothed_parts(a_hat: np.ndarray, beta: float, out=(None, None)) -> SmoothedSoftmax:
-    """Smoothed softmax over the history axis of feature logits, per feature.
-
-    out holds the arrays the exps and the weights are written into (fresh
-    arrays where None).
-    """
-    if a_hat.shape[-2] == 0:
-        raise ValueError("smoothed softmax needs at least one history item")
-    if not np.isfinite(a_hat).all():
-        raise NonFiniteError("feature logits must be finite")
-    e = a_hat.clip(-LOGIT_CLAMP, LOGIT_CLAMP, out=out[0])
-    np.exp(e, out=e)
-    denom = e.sum(axis=-2)
-    weights = np.divide(e, denom[..., None, :] ** beta, out=out[1])
-    return SmoothedSoftmax(weights=weights, exp=e, denom=denom, logits=a_hat)
 
 
 def hidden_prod(p: np.ndarray, Q_hist: np.ndarray, W: np.ndarray, b: np.ndarray, out=(None, None, None)):

@@ -76,7 +76,7 @@ class GradientSet:
 
 
 def _smoothed_vjp(parts: SmoothedSoftmax, dw: np.ndarray, beta: float) -> np.ndarray:
-    """Backward of a smoothed softmax over the history (first) axis."""
+    """Backward of a smoothed softmax over the history (first) axis, per column."""
     wdw = parts.weights * dw
     pull = beta * (parts.exp / parts.denom) * wdw.sum(axis=0)
     return (wdw - pull) * parts.grad_mask
@@ -156,25 +156,25 @@ def backward(
     # weights_j * X_j, the tower's VJP or g in every feature for the sum.
     de = _deep_vjp(cache, params, g, ws) if tower else np.full(p.shape, g)
 
-    # The weights: feature weights A, or item weights w; then their
-    # softmaxes down to the hidden layer's output R.
+    # The weights: feature weights A, or item weights w (one column);
+    # then their softmaxes down to the hidden layer's output R.
     if config.feature_attention:
         dA = cache.X * de
         dX = cache.A * de
         if config.item_attention:  # Design 1: A = w * row softmax
-            dw = (cache.row_s * dA).sum(axis=1)
-            da_hat = _row_softmax_vjp(cache.row_s, cache.item.weights[:, None] * dA)
+            dw = (cache.row_s * dA).sum(axis=1, keepdims=True)
+            da_hat = _row_softmax_vjp(cache.row_s, cache.item.weights * dA)
         else:
             da_hat = _smoothed_vjp(cache.cols, dA, beta)
         np.matmul(cache.R.T, da_hat, out=ws.H)
         dR = da_hat @ params.H.T
     else:
-        dw = cache.X @ de
-        dX = cache.item.weights[:, None] * de
+        dw = cache.X @ de.reshape(-1, 1)
+        dX = cache.item.weights * de
     if config.item_attention:
         dv = _smoothed_vjp(cache.item, dw, beta)
-        np.matmul(cache.R.T, dv, out=ws.h)
-        dR_item = dv[:, None] * params.h
+        np.matmul(cache.R.T, dv, out=ws.h.reshape(-1, 1))
+        dR_item = dv * params.h
         dR = dR + dR_item if config.feature_attention else dR_item
 
     # Shared hidden layer backward.

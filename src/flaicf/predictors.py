@@ -7,10 +7,11 @@ FISM's closed form, or the attentive chain. Every attentive kind is one
 chain: the shared hidden layer over the interactions X_j = p * q_j, then
 the weights, then the head.
 
-- Weights: item weights w_j from the smoothed softmax over h (NAIS,
-  DeepICF), used as w_j in every feature, or feature weights A_j from H
-  (FLA: Design 2's per-feature softmax, or Design 1's row softmax scaled
-  by w_j).
+- Weights: item weights w from the smoothed softmax of the logits R h
+  (NAIS, DeepICF), kept as one column (history x 1) that every feature
+  shares, or feature weights A from H (FLA: Design 2's per-feature
+  smoothed softmax, or Design 1's row softmax scaled by w). Both
+  smoothed softmaxes are one function over the history axis.
 - Head: a sum, score = sum_j sum_t weights_jt X_jt (NAIS, FLA_NAIS), or
   the deep tower over e = sum_j weights_j * X_j plus the user's and the
   target's bias (DeepICF, FLA_DICF).
@@ -81,13 +82,13 @@ class ForwardCache:
 
     X, Z and R are the shared hidden layer's interactions, pre-activations
     and outputs. The weights are item (item_logits, item: NAIS, DeepICF,
-    Design 1) and/or feature ones (a_hat, then row_s for Design 1 or cols
-    for Design 2, giving A); the fields of the weights a kind lacks stay
-    None. The tower head keeps its pooled interaction e and its layers'
-    deep_z and deep_u. For a block of candidate targets every array has a
-    leading candidate axis and score holds one value per candidate.
-    forward_cache adds the target's and the history's rows of the P/Q
-    table (pq) and their indices.
+    Design 1; one column, history x 1) and/or feature ones (a_hat, then
+    row_s for Design 1 or cols for Design 2, giving A); the fields of the
+    weights a kind lacks stay None. The tower head keeps its pooled
+    interaction e and its layers' deep_z and deep_u. For a block of
+    candidate targets every array has a leading candidate axis and score
+    holds one value per candidate. forward_cache adds the target's and the
+    history's rows of the P/Q table (pq) and their indices.
     """
 
     config: ModelConfig
@@ -117,9 +118,9 @@ class ForwardCache:
     def attention(self) -> AttentionOutput:
         """The attention weights and logits of a one-target cache."""
         return AttentionOutput(
-            item_weights=None if self.item is None else self.item.weights,
+            item_weights=None if self.item is None else self.item.weights[:, 0],
             feature_weights=self.A,
-            item_logits=self.item_logits,
+            item_logits=None if self.item_logits is None else self.item_logits[:, 0],
             feature_logits=self.a_hat,
         )
 
@@ -242,7 +243,7 @@ def forward_block(
     ws = workspace
     if ws is not None:
         cm = p.shape[:-1] + (m,)
-        cmd, cmdp = cm + (Q_hist.shape[1],), cm + (params.W.shape[0],)
+        cm1, cmd, cmdp = cm + (1,), cm + (Q_hist.shape[1],), cm + (params.W.shape[0],)
     cache = ForwardCache(config=config)
     if config.attention_mode is AttentionMode.CONCAT:
         out = (None, None) if ws is None else (ws.take("Z", cmdp), ws.take("R", cmdp))
@@ -255,23 +256,21 @@ def forward_block(
         cache.X, cache.Z, cache.R = hidden_prod(p, Q_hist, params.W, params.b, out)
 
     if config.item_attention:
-        out = None if ws is None else ws.take("item_logits", cm)
-        cache.item_logits = np.matmul(cache.R, params.h, out=out)
-        out = (None, None) if ws is None else (ws.take("item_exp", cm), ws.take("item_weights", cm))
+        out = None if ws is None else ws.take("item_logits", cm1)
+        cache.item_logits = np.matmul(cache.R, params.h[:, None], out=out)
+        out = (None, None) if ws is None else (ws.take("item_exp", cm1), ws.take("item_weights", cm1))
         cache.item = _smoothed_parts(cache.item_logits, config.beta, out)
     if config.feature_attention:
         cache.a_hat = np.matmul(cache.R, params.H, out=None if ws is None else ws.take("a_hat", cmd))
         if config.item_attention:
             cache.row_s = _row_softmax(cache.a_hat, None if ws is None else ws.take("row_s", cmd))
             out = None if ws is None else ws.take("A", cmd)
-            cache.A = np.multiply(cache.item.weights[..., None], cache.row_s, out=out)
+            cache.A = np.multiply(cache.item.weights, cache.row_s, out=out)
         else:
             out = (None, None) if ws is None else (ws.take("col_exp", cmd), ws.take("A", cmd))
             cache.cols = _col_smoothed_parts(cache.a_hat, config.beta, out)
             cache.A = cache.cols.weights
-        weights = cache.A
-    else:
-        weights = cache.item.weights[..., None]
+    weights = cache.item.weights if cache.A is None else cache.A
 
     if tower:
         cache.e = np.einsum("...md,...md->...d", weights, cache.X)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from flaicf.attention import (
     AttentionOutput,
+    _smoothed_parts,
     design1_weights,
     design2_weights,
     feature_logits,
@@ -179,6 +180,21 @@ def test_smoothed_softmax_preserves_order():
         assert np.all(np.diff(w[order]) >= 0)
 
 
+@pytest.mark.parametrize("k", [1, 8], ids=["item", "feature"])
+@pytest.mark.parametrize("beta", [0.5, 0.7, 1.0])
+def test_smoothed_parts_of_a_block_equal_each_candidates_bitwise(k, beta):
+    # a candidate's weights must not depend on how many candidates share
+    # its block; the logits reach past the clamp, and no matmul runs first
+    rng = np.random.default_rng(31)
+    logits = rng.normal(0.0, 12.0, size=(37, 23, k))
+    block = _smoothed_parts(logits, beta)
+    assert block.weights.shape == (37, 23, k) and block.denom.shape == (37, k)
+    for c in range(37):
+        one = _smoothed_parts(logits[c], beta)
+        assert np.array_equal(block.weights[c], one.weights), c
+        assert np.array_equal(block.exp[c], one.exp) and np.array_equal(block.denom[c], one.denom), c
+
+
 def test_smoothed_softmax_rejects_bad_input():
     with pytest.raises(ValueError):
         smoothed_softmax(np.array([]), 0.5)
@@ -324,5 +340,7 @@ def test_weights_nonnegative_and_shaped():
             design2_weights(p, Q, params, beta=0.7),
         ):
             assert out.feature_weights.shape == (m, cfg.d)
+            if out.item_weights is not None:
+                assert out.item_weights.shape == out.item_logits.shape == (m,)
             assert np.all(out.feature_weights >= 0)
             assert np.all(np.isfinite(out.feature_weights))
