@@ -40,7 +40,7 @@ from .evaluation import baseline_scores, evaluate, evaluate_model
 from .gradients import gradcheck
 from .params import CheckpointError, load_checkpoint, save_checkpoint
 from .predictors import PredictionContext, attention_for
-from .training import TrainingDivergedError, train, train_fism
+from .training import TrainingDivergedError, check_trainable, train, train_fism
 
 # key -> (type, default, help); None defaults mean "required by some command"
 RUN_KEYS: dict[str, tuple[type, object, str]] = {
@@ -277,6 +277,7 @@ def cmd_train(config: RunConfig, suffix: str = "") -> dict:
     model_config = config.model_config()
     train_config = config.train_config()
     split = load_split(config.values["data_dir"])
+    check_trainable(split.train)
     pretrain, fism_params = config.flag("pretrain"), None
     if pretrain and config.values["pretrain_checkpoint"]:
         fism_params, fism_config = _load_checkpoint_for(config.values["pretrain_checkpoint"], split)
@@ -456,7 +457,7 @@ ERROR_CATEGORIES = (
     (DataFormatError, "data", 3),
     (EmptyDatasetError, "data", 3),
     (CheckpointError, "checkpoint", 4),
-    (FileNotFoundError, "io", 3),
+    (OSError, "io", 3),
     (TrainingDivergedError, "diverged", 5),
 )
 

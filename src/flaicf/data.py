@@ -30,7 +30,7 @@ class DataFormatError(ValueError):
 
 
 class EmptyDatasetError(ValueError):
-    """Parsing or filtering left no interactions."""
+    """Parsing or filtering left no interactions, or a split nothing to train on."""
 
 
 FORMAT_DELIMITERS = {
@@ -112,7 +112,7 @@ def parse_interactions(path, fmt: str = "MOVIELENS_DAT") -> InteractionDataset:
     except KeyError:
         raise DataFormatError(f"unknown format {fmt!r}; expected one of {sorted(FORMAT_DELIMITERS)}")
     raw_pairs: list[tuple[str, str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line:
@@ -283,7 +283,7 @@ def load_split(data_dir) -> SplitDataset:
         users: list[int] = []
         items: list[int] = []
         path = root / f"{name}.txt"
-        with open(path, "r", encoding="utf-8") as fh:
+        with _utf8(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -308,7 +308,7 @@ def load_split(data_dir) -> SplitDataset:
         )
     ratios, seed = (0.7, 0.1, 0.2), 0
     path = root / "split_meta.txt"
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             key, _, value = line.strip().partition("=")
             try:
@@ -327,6 +327,16 @@ def load_split(data_dir) -> SplitDataset:
     )
 
 
+@contextmanager
+def _utf8(path):
+    """path opened as UTF-8 text; bytes that are not UTF-8 are a DataFormatError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def _read_vocab(path) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8(path) as fh:
         return [line.rstrip("\n") for line in fh]

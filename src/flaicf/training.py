@@ -24,6 +24,7 @@ import numpy as np
 
 from .attention import NonFiniteError
 from .config import ModelConfig, ModelKind, TrainConfig
+from .data import EmptyDatasetError
 from .evaluation import MetricsRecord, evaluate_model
 from .gradients import GradcheckReport, GradientSet, backward, gradcheck, instance_data_loss
 from .params import PQ, ParameterSet, init_parameters
@@ -35,6 +36,7 @@ __all__ = [
     "adagrad_step",
     "sample_negatives",
     "epoch_instances",
+    "check_trainable",
     "history_for",
     "train",
     "pretrain_fism",
@@ -144,6 +146,17 @@ def epoch_instances(
     if not users:
         raise ValueError("training split has no positives")
     return np.concatenate(users), np.concatenate(items), np.concatenate(labels)
+
+
+def check_trainable(train) -> None:
+    """Raise EmptyDatasetError where epoch_instances cannot draw an epoch from train."""
+    sizes = [pos.size for pos in train.items_by_user]
+    if not any(sizes):
+        raise EmptyDatasetError("training split has no positives")
+    full = [train.user_ids[u] for u, size in enumerate(sizes) if size >= train.item_count]
+    if full:
+        raise EmptyDatasetError(f"user {full[0]!r} has a training positive for every one of the "
+                                f"{train.item_count} items, so no negative can be drawn")
 
 
 def history_for(positives: np.ndarray, target: int, label: float) -> np.ndarray:

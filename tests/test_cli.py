@@ -469,3 +469,61 @@ def test_divergence_raises_no_numpy_warning(prepared, tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert code == 5, err
     assert "error: category=diverged" in err
+
+
+def prepare_raw(tmp_path, lines, *flags) -> Path:
+    raw = tmp_path / "raw.dat"
+    raw.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    data = tmp_path / "data"
+    assert main(["prepare", "--raw", str(raw), "--out_dir", str(data), "--seed", "5", *flags]) == 0
+    return data
+
+
+@pytest.mark.parametrize("pretrain", ["false", "true"])
+def test_a_user_holding_every_item_is_a_data_error(tmp_path, capsys, pretrain):
+    # user 0 has all 6 items in the training split, so no negative can be drawn for it
+    lines = [f"0::{i}::5::0" for i in range(6)] + ["1::0::5::0", "1::1::5::0"]
+    data = prepare_raw(tmp_path, lines, "--ratios", "1,0,0", "--k_user", "1", "--k_item", "1")
+    capsys.readouterr()
+    assert run_train(data, tmp_path / "run", ["--pretrain", pretrain]) == 3
+    err = capsys.readouterr().err
+    assert "error: category=data user '0' has a training positive for every one of the 6 items" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("pretrain", ["false", "true"])
+def test_an_empty_training_split_is_a_data_error(prepared, tmp_path, capsys, pretrain):
+    (prepared / "train.txt").write_text("", encoding="utf-8")
+    capsys.readouterr()
+    assert run_train(prepared, tmp_path / "run", ["--pretrain", pretrain]) == 3
+    assert "error: category=data training split has no positives" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_raw_file_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
+    raw = tmp_path / "raw.dat"
+    raw.write_bytes(b"0::1::5::0\n0::\xff::5::0\n")
+    code = main(["prepare", "--raw", str(raw), "--out_dir", str(tmp_path / "data"),
+                 "--k_user", "1", "--k_item", "1"])
+    assert code == 3
+    assert f"error: category=data {raw}: not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_a_vocab_that_is_not_utf8_is_a_data_error(prepared, tmp_path, capsys, command):
+    vocab = prepared / "item_vocab.txt"
+    vocab.write_bytes(vocab.read_bytes() + b"\xc3\x28\n")
+    capsys.readouterr()
+    argv = {"train": ["--pretrain", "0"], "evaluate": ["--baseline", "POP"]}[command]
+    code = main([command, "--data_dir", str(prepared), "--out_dir", str(tmp_path / "run"), *argv])
+    assert code == 3
+    assert f"error: category=data {vocab}: not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_checkpoint_path_that_is_a_directory_is_an_io_error(prepared, tmp_path, capsys):
+    capsys.readouterr()
+    code = main(["evaluate", "--data_dir", str(prepared), "--checkpoint", str(tmp_path)])
+    assert code == 3
+    assert "error: category=io" in capsys.readouterr().err
