@@ -12,6 +12,7 @@ from flaicf.predictors import (
     deep_tower,
     deepicf_forward,
     deepicf_pool,
+    fla_dicf_forward,
     fla_pool,
     fla_score,
     forward_cache,
@@ -229,9 +230,16 @@ def test_dispatch_matches_direct_calls():
     params = random_params(cfg, 7, 1, seed=15)
     assert predict(ModelKind.FISM, ctx, params, cfg) == predict_fism(ctx, params, 0.3)
 
-    cfg = ModelConfig(model_kind=ModelKind.NAIS, d=4, d_prime=3)
-    params = random_params(cfg, 7, 1, seed=16)
-    assert predict(ModelKind.NAIS, ctx, params, cfg) == predict_nais(ctx, params, cfg)
+    views = {
+        ModelKind.NAIS: predict_nais,
+        ModelKind.FLA_NAIS: predict_fla,
+        ModelKind.DEEPICF: deepicf_forward,
+        ModelKind.FLA_DICF: fla_dicf_forward,
+    }
+    for seed, (kind, view) in enumerate(views.items(), start=16):
+        cfg = ModelConfig(model_kind=kind, d=4, d_prime=3)
+        params = random_params(cfg, 7, 1, seed=seed)
+        assert predict(kind, ctx, params, cfg) == view(ctx, params, cfg), kind
 
 
 def test_views_resolve_their_kind_from_another_config():
