@@ -1,0 +1,135 @@
+"""Time full ranking at the paper's catalogue size and write BENCH_scale_<label>.json.
+
+    python3 scripts/scale_probe.py --label L [--users 8] [--reps 5] [--seed 0]
+
+ML-1M keeps 3706 items, and the attentive kinds' ranking cost grows with
+candidates x history x d, so the benchmark's 150-item catalogue cannot
+show it. This probe builds, from --seed, one in-memory split per history
+length m in 30, 100 and 300: --users users, each with m training items
+and one test item drawn uniformly from 3706, and random parameters
+(d = d' = 16, beta 0.7, every array drawn from N(0, 0.1)). For NAIS,
+FLA_NAIS Design 2 and FLA_DICF Design 2 it times evaluation.evaluate_model
+on the test part serially and with 2 workers, --reps times, and reports
+the fastest run as milliseconds per user. Nothing is trained and nothing
+is written but BENCH_scale_<label>.json at the root of the checkout,
+which also holds the commit and the machine facts. Run it on two
+checkouts in the same session to compare them; it is not part of the
+test suite.
+"""
+
+import argparse
+import json
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
+
+import numpy as np  # noqa: E402
+
+from flaicf.config import ModelConfig  # noqa: E402
+from flaicf.data import InteractionDataset, SplitDataset  # noqa: E402
+from flaicf.evaluation import evaluate_model  # noqa: E402
+from flaicf.params import array_shapes, init_parameters  # noqa: E402
+from run import machine  # noqa: E402  (bench/run.py)
+
+ITEMS = 3706  # ML-1M after its 5-core
+HISTORIES = (30, 100, 300)
+KINDS = (
+    ("NAIS", {"model_kind": "NAIS"}),
+    ("FLA_NAIS-D2", {"model_kind": "FLA_NAIS", "design": "DESIGN2"}),
+    ("FLA_DICF-D2", {"model_kind": "FLA_DICF", "design": "DESIGN2"}),
+)
+WORKERS = (("serial", 1), ("pool2", 2))
+D = 16
+BETA = 0.7
+PARAM_SCALE = 0.1
+
+
+def history_split(m: int, users: int, rng: np.random.Generator) -> SplitDataset:
+    """users users with m training items and one test item each, none in validation."""
+    train, test = [], []
+    for _ in range(users):
+        items = np.sort(rng.choice(ITEMS, size=m + 1, replace=False))
+        held = int(rng.integers(m + 1))
+        train.append(np.delete(items, held))
+        test.append(items[held:held + 1])
+    user_ids = [str(u) for u in range(users)]
+    item_ids = [str(i) for i in range(ITEMS)]
+    empty = [np.empty(0, dtype=np.int64) for _ in range(users)]
+    parts = (InteractionDataset(user_ids, item_ids, by_user) for by_user in (train, empty, test))
+    return SplitDataset(*parts, ratios=(1.0, 0.0, 0.0), seed=0)
+
+
+def random_parameters(config: ModelConfig, users: int, seed: int):
+    params = init_parameters(config, ITEMS, users, seed=seed)
+    rng = np.random.default_rng(seed)
+    for name, shape in array_shapes(config, ITEMS, users).items():
+        params.get(name)[...] = rng.normal(0.0, PARAM_SCALE, size=shape)
+    return params
+
+
+def commit() -> str:
+    try:
+        out = subprocess.run(["git", "-C", str(ROOT), "describe", "--always", "--dirty"],
+                             capture_output=True, text=True, check=True)
+        return out.stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--users", type=int, default=8, help="users per history length")
+    parser.add_argument("--reps", type=int, default=5, help="timed runs per cell; the fastest counts")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    if args.users < 1 or args.reps < 1:
+        parser.error("--users and --reps must be >= 1")
+
+    rng = np.random.default_rng(args.seed)
+    splits = {m: history_split(m, args.users, rng) for m in HISTORIES}
+    ms_per_user: dict[str, dict] = {}
+    started = time.perf_counter()
+    for label, kind in KINDS:
+        config = ModelConfig(d=D, beta=BETA, **kind)
+        params = random_parameters(config, args.users, args.seed)
+        for m, split in splits.items():
+            for mode, workers in WORKERS:
+                evaluate_model(params, config, split, "test", workers=workers)  # warm-up
+                walls = []
+                for _ in range(args.reps):
+                    start = time.perf_counter()
+                    evaluate_model(params, config, split, "test", workers=workers)
+                    walls.append(time.perf_counter() - start)
+                value = 1e3 * min(walls) / args.users
+                ms_per_user.setdefault(f"{label}.{mode}", {})[f"m{m}"] = value
+                print(f"{label:12s} {mode:6s} m={m:3d} {value:8.2f} ms/user", flush=True)
+
+    record = {
+        "label": args.label,
+        "commit": commit(),
+        "items": ITEMS,
+        "histories": list(HISTORIES),
+        "users_per_history": args.users,
+        "reps": args.reps,
+        "seed": args.seed,
+        "d": D,
+        "beta": BETA,
+        "statistic": "fastest of reps, evaluate_model wall / users",
+        "ms_per_user": ms_per_user,
+        "wall_s": time.perf_counter() - started,
+        "machine": machine(),
+    }
+    out = ROOT / f"BENCH_scale_{args.label}.json"
+    out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -50,10 +50,11 @@ class SmoothedSoftmax:
     """Weights of a smoothed softmax with the pieces its gradient needs.
 
     weights, exp and logits are shaped (..., m, k); denom, the sum of the
-    exps over the history, is (..., k).
+    exps over the history, is (..., k). weights is None where the caller
+    divides by denom ** beta itself (_smoothed_parts).
     """
 
-    weights: np.ndarray
+    weights: np.ndarray | None
     exp: np.ndarray
     denom: np.ndarray
     logits: np.ndarray
@@ -92,12 +93,19 @@ def smoothed_softmax(logits: np.ndarray, beta: float) -> np.ndarray:
     return _smoothed_parts(np.asarray(logits, dtype=float)[:, None], beta).weights[:, 0]
 
 
-def _smoothed_parts(logits: np.ndarray, beta: float, out=(None, None)) -> SmoothedSoftmax:
+def _smoothed_parts(
+    logits: np.ndarray, beta: float, out=(None, None), weights: bool = True
+) -> SmoothedSoftmax:
     """Smoothed softmax over the history axis (-2) of logits, per column.
 
     Item logits have one column, Design 2's feature logits one per
     feature. out holds the arrays the exps and the weights are written
-    into (fresh arrays where None).
+    into (fresh arrays where None). With weights False no weights are
+    divided out: a ranking block pools the exps first and divides the
+    pooled sum by denom ** beta, once per feature instead of once per
+    history item. Its c x m x k exps are then summed by einsum, in one
+    pass, where ndarray.sum over the middle axis runs one short loop per
+    candidate and history item (about 3x slower at k = 16).
     """
     if logits.shape[-2] == 0:
         raise ValueError("smoothed softmax needs at least one history item")
@@ -107,9 +115,9 @@ def _smoothed_parts(logits: np.ndarray, beta: float, out=(None, None)) -> Smooth
         raise NonFiniteError("logits must be finite")
     e = logits.clip(-LOGIT_CLAMP, LOGIT_CLAMP, out=out[0])
     np.exp(e, out=e)
-    denom = e.sum(axis=-2)
-    weights = np.divide(e, denom[..., None, :] ** beta, out=out[1])
-    return SmoothedSoftmax(weights=weights, exp=e, denom=denom, logits=logits)
+    denom = e.sum(axis=-2) if weights else np.einsum("...jk->...k", e)
+    w = np.divide(e, denom[..., None, :] ** beta, out=out[1]) if weights else None
+    return SmoothedSoftmax(weights=w, exp=e, denom=denom, logits=logits)
 
 
 # Design 2's column softmax, under its own name so a tracer that wraps
@@ -124,20 +132,30 @@ def _row_softmax(a_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     return np.divide(shifted, shifted.sum(axis=-1, keepdims=True), out=shifted)
 
 
-def hidden_prod(p: np.ndarray, Q_hist: np.ndarray, W: np.ndarray, b: np.ndarray, out=(None, None, None)):
+def hidden_prod(p: np.ndarray, Q_hist: np.ndarray, W: np.ndarray, b: np.ndarray, out=(None, None), Wq=None):
     """Shared hidden layer over the history, elementwise-product encoding.
 
-    Returns (X, Z, R): interaction vectors, pre-activations and ReLU
-    outputs, each with one row per history item (per candidate when p
-    holds a row per candidate), written into the arrays of out where
-    given.
+    For one target p (d) returns (X, Z, R): the interactions X_j = p * q_j,
+    and the pre-activations and ReLU outputs, one row per history item.
+    For a block of candidates (p is c x d) returns (None, Z, R) with a
+    leading candidate axis, Z and R written into the arrays of out where
+    given: Wq, the history and the bias folded into W (row j d' + k is
+    (q_j * W_k, b_k), m d' x d+1; predictors.fold_history), makes the
+    block's pre-activations one GEMM, [p, 1] @ Wq.T, and the c x m x d
+    interactions are never built.
     """
-    X = np.multiply(p[..., None, :], Q_hist, out=out[0])
-    rows = X.reshape(-1, X.shape[-1])
-    Z = None if out[1] is None else out[1].reshape(rows.shape[0], -1)
-    Z = np.matmul(rows, W.T, out=Z).reshape(*X.shape[:-1], -1)
-    np.add(Z, b, out=Z)
-    return X, Z, np.maximum(Z, 0.0, out=out[2])
+    if p.ndim == 1:
+        X = np.multiply(p, Q_hist)
+        Z = np.matmul(X, W.T)
+        np.add(Z, b, out=Z)
+        return X, Z, np.maximum(Z, 0.0)
+    c, d = p.shape
+    p1 = np.empty((c, d + 1))
+    p1[:, :d] = p
+    p1[:, d] = 1.0
+    Z = None if out[0] is None else out[0].reshape(c, -1)
+    Z = np.matmul(p1, Wq.T, out=Z).reshape(c, Q_hist.shape[0], -1)
+    return None, Z, np.maximum(Z, 0.0, out=out[1])
 
 
 def hidden_concat(p: np.ndarray, Q_hist: np.ndarray, W: np.ndarray, b: np.ndarray, out=(None, None)):

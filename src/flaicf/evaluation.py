@@ -22,7 +22,7 @@ import numpy as np
 from .config import ConfigError, ModelConfig
 from .data import SplitDataset
 from .params import ParameterSet
-from .predictors import BlockWorkspace, block_rows, forward_block
+from .predictors import BlockWorkspace, block_rows, fold_history, forward_block
 
 BASELINES = ("RANDOM", "POP", "ITEMKNN")
 
@@ -170,10 +170,12 @@ def model_scorer(params: ParameterSet, config: ModelConfig, split: SplitDataset)
     in it, so no per-candidate exclusion is needed. Each block of items is
     scored by predictors.forward_block (_score_chunk), which matches the
     instance forward pass up to rounding; predictors.block_rows sizes the
-    blocks for the user's history length. Every block writes its
-    intermediates into one BlockWorkspace, made once per scorer, so they
-    live only until the next block and a scorer is not safe to call from
-    two threads at once; the scores returned are a fresh array per user.
+    blocks for the user's history length, and predictors.fold_history
+    folds the history into the hidden layer once per user. Every block
+    writes its intermediates into one BlockWorkspace, made once per
+    scorer, so they live only until the next block and a scorer is not
+    safe to call from two threads at once; the scores returned are a fresh
+    array per user.
     """
     Q, n_items = params.Q, params.P.shape[0]
     hist_by_user = split.train.items_by_user
@@ -181,8 +183,9 @@ def model_scorer(params: ParameterSet, config: ModelConfig, split: SplitDataset)
 
     def score(user: int) -> np.ndarray:
         Qh = Q[hist_by_user[user]]
+        Wq = fold_history(config, params, Qh, workspace)
         rows = block_rows(config, Qh.shape[0], n_items)
-        scores = [_score_chunk(config, params, user, slice(lo, lo + rows), Qh, workspace)
+        scores = [_score_chunk(config, params, user, slice(lo, lo + rows), Qh, workspace, Wq)
                   for lo in range(0, n_items, rows)]
         return scores[0] if len(scores) == 1 else np.concatenate(scores)
 
@@ -196,9 +199,10 @@ def _score_chunk(
     items: slice,
     Qh: np.ndarray,
     workspace: BlockWorkspace,
+    Wq: np.ndarray | None,
 ) -> np.ndarray:
-    """Scores of a slice of items for one user with history rows Qh."""
-    return forward_block(config, params, user, items, params.P[items], Qh, workspace).score
+    """Scores of a slice of items for one user with history rows Qh, folded into Wq."""
+    return forward_block(config, params, user, items, params.P[items], Qh, workspace, Wq).score
 
 
 def baseline_scores(kind: str, split: SplitDataset, seed: int = 0, knn_k: int | None = None):

@@ -26,11 +26,18 @@ gathers the P/Q rows and keeps every intermediate the exact backward
 pass needs), ranking with blocks of items (evaluation.model_scorer,
 blocks of block_rows items), and the attention views read its weights.
 
-Ranking budgets its blocks (BLOCK) and writes every candidate x history
-intermediate into one BlockWorkspace that it reuses from block to block,
-so the fields of a cache built on a workspace are valid only until the
-next block. Without a workspace every array is fresh, and a one-target
-cache never shares memory with another.
+A block of c candidates runs the same chain without building X. The
+hidden layer's pre-activations are one GEMM against the user's history
+folded into W (fold_history, built once per user); every kind pools one
+c x d term u_c = sum_j A_cj * q_j from its weights A, so Design 2
+divides by its smoothed-softmax denominators once per feature, not once
+per history item; and the head is p . u (sum) or the tower over
+e = p * u. A block's intermediates are c x m x d' (Z, R) and c x m x d
+(feature logits and exps). Ranking budgets its blocks (BLOCK) and writes
+every such intermediate into one BlockWorkspace that it reuses from
+block to block, so the fields of a cache built on a workspace are valid
+only until the next block. Without a workspace every array is fresh, and
+a one-target cache never shares memory with another.
 
 Empty histories fall back to a constant: 0 for FISM, NAIS and FLA_NAIS,
 and the user-plus-item bias for the DeepICF family.
@@ -87,8 +94,10 @@ class ForwardCache:
     weights a kind lacks stay None. The tower head keeps its pooled
     interaction e and its layers' deep_z and deep_u. For a block of
     candidate targets every array has a leading candidate axis and score
-    holds one value per candidate. forward_cache adds the target's and the
-    history's rows of the P/Q table (pq) and their indices.
+    holds one value per candidate; a block builds no X, and Design 2's
+    block keeps the exps (cols) but no weights A. forward_cache adds the
+    target's and the history's rows of the P/Q table (pq) and their
+    indices.
     """
 
     config: ModelConfig
@@ -153,10 +162,14 @@ def deep_tower(cache: ForwardCache, e: np.ndarray, params: ParameterSet) -> floa
 
 
 # Elements in each candidates x history x max(d, d') intermediate of one
-# scoring block. At d = d' = 16 a block's (c*m x d) @ (d x d') GEMM then
-# stays at OpenBLAS's 2**18 multiply-add limit for running it on one
-# thread, so two ranking processes no longer run four BLAS threads on two
-# CPUs, and each intermediate (128 KB) stays in cache. Against one fresh
+# scoring block (Z and R are c x m x d', the feature logits and exps
+# c x m x d; no c x m x d interaction tensor is built). At d = d' = 16 a
+# block's (c x d+1) @ (d+1 x m*d') GEMM (fold_history) then has at most
+# 2**14 * 17 multiply-adds, which OpenBLAS 0.3.31 runs on one thread (it
+# split GEMMs of 435k multiply-adds and more over two threads, which ran
+# 20-100x slower while the other CPU was busy), so two ranking processes
+# do not run four BLAS threads on two CPUs, and each intermediate
+# (128 KB) stays in cache. Against one fresh
 # block of all 150 items, on the benchmark's `long` workload (FLA_NAIS
 # Design 2, median history 39; 2 CPUs, OpenBLAS 0.3.31), medians of 10
 # runs: pooled ranking 131 -> 347 users/s, serial 380 -> 440 users/s.
@@ -203,6 +216,32 @@ class BlockWorkspace:
         return buf[:n].reshape(shape)
 
 
+def fold_history(
+    config: ModelConfig,
+    params: ParameterSet,
+    Q_hist: np.ndarray,
+    workspace: BlockWorkspace | None = None,
+) -> np.ndarray | None:
+    """The PROD hidden layer folded over one user's history, for ranking.
+
+    Row j d' + k of Wq is (q_j * W_k, b_k) (m d' x d+1), so a block's
+    pre-activations, bias included, are one GEMM, [p, 1] @ Wq.T
+    (hidden_prod). Built once per user, it serves every block of that
+    user's items; with a workspace it is written into the workspace's "Wq"
+    buffer. None where a block needs no fold: FISM, CONCAT and an empty
+    history.
+    """
+    m, d = Q_hist.shape
+    if config.model_kind is ModelKind.FISM or config.attention_mode is AttentionMode.CONCAT or m == 0:
+        return None
+    d_prime = params.W.shape[0]
+    shape = (m, d_prime, d + 1)
+    Wq = np.empty(shape) if workspace is None else workspace.take("Wq", shape)
+    np.multiply(Q_hist[:, None, :], params.W, out=Wq[..., :d])
+    Wq[..., d] = params.b
+    return Wq.reshape(m * d_prime, d + 1)
+
+
 def forward_block(
     config: ModelConfig,
     params: ParameterSet,
@@ -211,6 +250,7 @@ def forward_block(
     p: np.ndarray,
     Q_hist: np.ndarray,
     workspace: BlockWorkspace | None = None,
+    Wq: np.ndarray | None = None,
 ) -> ForwardCache:
     """Forward pass of config's kind for one user: one target, or a block of them.
 
@@ -219,13 +259,14 @@ def forward_block(
     history's rows of Q (m x d). The deep family adds the user's and the
     target's bias. An empty history (m = 0) gives the kind's constant
     fallback. Training runs one target (forward_cache) and ranking a block
-    of items; a candidate's score in a block equals its one-target score
-    up to rounding.
+    of items (_block_chain); a candidate's score in a block equals its
+    one-target score up to rounding.
 
-    With a workspace, every candidate x history intermediate is written
-    into its buffers, so the cache's fields are valid only until the next
-    block run on it; the score is always a fresh array, bitwise equal to
-    the one computed without a workspace.
+    For a block, Wq is the user's fold_history (built here when not
+    given), and with a workspace every candidate x history intermediate
+    is written into its buffers, so the cache's fields are valid only
+    until the next block run on it; the score is always a fresh array,
+    bitwise equal to the one computed without a workspace.
     """
     m = Q_hist.shape[0]
     tower = config.deep_layers is not None
@@ -237,38 +278,27 @@ def forward_block(
         # sums the history first, O(c d) instead of O(c m d)
         summed = (Q_hist @ p).sum() if p.ndim == 1 else p @ Q_hist.sum(axis=0)
         return ForwardCache(config, score=m ** (-config.alpha) * summed)
+    if p.ndim == 2:
+        return _block_chain(config, params, p, Q_hist, workspace or BlockWorkspace(), Wq, bias)
 
-    # `None if ws is None else ws.take(...)` at each use: a call per buffer
-    # would cost one-target training 1-3 us per forward pass
-    ws = workspace
-    if ws is not None:
-        cm = p.shape[:-1] + (m,)
-        cm1, cmd, cmdp = cm + (1,), cm + (Q_hist.shape[1],), cm + (params.W.shape[0],)
     cache = ForwardCache(config=config)
     if config.attention_mode is AttentionMode.CONCAT:
-        out = (None, None) if ws is None else (ws.take("Z", cmdp), ws.take("R", cmdp))
-        cache.Z, cache.R = hidden_concat(p, Q_hist, params.W, params.b, out)
+        cache.Z, cache.R = hidden_concat(p, Q_hist, params.W, params.b)
         # the head reads the interactions that PROD's hidden layer builds
-        cache.X = np.multiply(p[..., None, :], Q_hist, out=None if ws is None else ws.take("X", cmd))
+        cache.X = np.multiply(p[None, :], Q_hist)
     else:
-        out = (None, None, None) if ws is None else (
-            ws.take("X", cmd), ws.take("Z", cmdp), ws.take("R", cmdp))
-        cache.X, cache.Z, cache.R = hidden_prod(p, Q_hist, params.W, params.b, out)
+        cache.X, cache.Z, cache.R = hidden_prod(p, Q_hist, params.W, params.b)
 
     if config.item_attention:
-        out = None if ws is None else ws.take("item_logits", cm1)
-        cache.item_logits = np.matmul(cache.R, params.h[:, None], out=out)
-        out = (None, None) if ws is None else (ws.take("item_exp", cm1), ws.take("item_weights", cm1))
-        cache.item = _smoothed_parts(cache.item_logits, config.beta, out)
+        cache.item_logits = np.matmul(cache.R, params.h[:, None])
+        cache.item = _smoothed_parts(cache.item_logits, config.beta)
     if config.feature_attention:
-        cache.a_hat = np.matmul(cache.R, params.H, out=None if ws is None else ws.take("a_hat", cmd))
+        cache.a_hat = np.matmul(cache.R, params.H)
         if config.item_attention:
-            cache.row_s = _row_softmax(cache.a_hat, None if ws is None else ws.take("row_s", cmd))
-            out = None if ws is None else ws.take("A", cmd)
-            cache.A = np.multiply(cache.item.weights, cache.row_s, out=out)
+            cache.row_s = _row_softmax(cache.a_hat)
+            cache.A = np.multiply(cache.item.weights, cache.row_s)
         else:
-            out = (None, None) if ws is None else (ws.take("col_exp", cmd), ws.take("A", cmd))
-            cache.cols = _col_smoothed_parts(cache.a_hat, config.beta, out)
+            cache.cols = _col_smoothed_parts(cache.a_hat, config.beta)
             cache.A = cache.cols.weights
     weights = cache.item.weights if cache.A is None else cache.A
 
@@ -276,8 +306,63 @@ def forward_block(
         cache.e = np.einsum("...md,...md->...d", weights, cache.X)
         cache.score = deep_tower(cache, cache.e, params) + bias
     else:
-        out = None if ws is None else ws.take("AX", cmd)
-        cache.score = np.multiply(weights, cache.X, out=out).sum(axis=(-2, -1))
+        cache.score = np.multiply(weights, cache.X).sum(axis=(-2, -1))
+    return cache
+
+
+def _block_chain(
+    config: ModelConfig,
+    params: ParameterSet,
+    p: np.ndarray,
+    Q_hist: np.ndarray,
+    ws: BlockWorkspace,
+    Wq: np.ndarray | None,
+    bias: np.ndarray | None,
+) -> ForwardCache:
+    """The attentive chain for a block of c candidates, without X.
+
+    Every kind pools one c x d term, u_c = sum_j A_cj * q_j, with A its
+    weights: the item weights (u = w @ Q_hist), Design 1's w * row
+    softmax, or Design 2's exps, whose pooled sum is divided by
+    denom ** beta once per feature. The sum head is then p . u and the
+    tower reads e = p * u, both equal to the one-target head on
+    X_j = p * q_j. The block's intermediates are c x m x d' (Z, R) and
+    c x m x d (feature logits, exps, weights), all in ws.
+    """
+    cm = (p.shape[0], Q_hist.shape[0])
+    cm1, cmd, cmdp = cm + (1,), cm + (Q_hist.shape[1],), cm + (params.W.shape[0],)
+    cache = ForwardCache(config=config)
+    out = (ws.take("Z", cmdp), ws.take("R", cmdp))
+    if config.attention_mode is AttentionMode.CONCAT:
+        cache.Z, cache.R = hidden_concat(p, Q_hist, params.W, params.b, out)
+    else:
+        if Wq is None:
+            Wq = fold_history(config, params, Q_hist, ws)
+        _, cache.Z, cache.R = hidden_prod(p, Q_hist, params.W, params.b, out, Wq)
+
+    if config.item_attention:
+        cache.item_logits = np.matmul(cache.R, params.h[:, None], out=ws.take("item_logits", cm1))
+        out = (ws.take("item_exp", cm1), ws.take("item_weights", cm1))
+        cache.item = _smoothed_parts(cache.item_logits, config.beta, out)
+    if config.feature_attention:
+        cache.a_hat = np.matmul(cache.R, params.H, out=ws.take("a_hat", cmd))
+        if config.item_attention:
+            cache.row_s = _row_softmax(cache.a_hat, ws.take("row_s", cmd))
+            cache.A = np.multiply(cache.item.weights, cache.row_s, out=ws.take("A", cmd))
+            pooled = np.einsum("cjt,jt->ct", cache.A, Q_hist)
+        else:
+            out = (ws.take("col_exp", cmd), None)
+            cache.cols = _col_smoothed_parts(cache.a_hat, config.beta, out, weights=False)
+            pooled = np.einsum("cjt,jt->ct", cache.cols.exp, Q_hist)
+            pooled /= cache.cols.denom ** config.beta
+    else:
+        pooled = cache.item.weights[..., 0] @ Q_hist
+
+    if config.deep_layers is not None:
+        cache.e = p * pooled
+        cache.score = deep_tower(cache, cache.e, params) + bias
+    else:
+        cache.score = np.einsum("ct,ct->c", p, pooled)
     return cache
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flaicf.cli import main
+from flaicf.cli import COMMANDS, RUN_KEYS, build_parser, main
 from flaicf.config import ModelConfig, ModelKind
 from flaicf.params import init_parameters, load_checkpoint, save_checkpoint
 
@@ -172,6 +172,29 @@ def test_unknown_config_key_rejected(prepared, tmp_path, capsys):
                  "--out_dir", str(tmp_path / "x")])
     assert code == 2
     assert "error: category=" in capsys.readouterr().err
+
+
+def test_a_config_file_that_is_not_utf8_is_a_usage_error(prepared, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"d=4\n# caf\xff\n")
+    code = main(["train", "--config", str(cfg), "--data_dir", str(prepared),
+                 "--out_dir", str(tmp_path / "x")])
+    assert code == 2
+    assert f"error: category=usage {cfg}: not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_flag_parses_under_every_command(command):
+    parser = build_parser()
+    argv = [command, "--config", "run.cfg"]
+    for key in RUN_KEYS:
+        argv += [f"--{key}", f"v_{key}"]
+    args = parser.parse_args(argv)
+    assert args.command == command and args.config == "run.cfg"
+    assert {key: getattr(args, key) for key in RUN_KEYS} == {key: f"v_{key}" for key in RUN_KEYS}
+    unset = parser.parse_args([command])
+    assert unset.config is None and all(getattr(unset, key) is None for key in RUN_KEYS)
 
 
 def test_missing_data_dir_is_io_error(tmp_path, capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from flaicf import evaluation, predictors
+from flaicf.attention import NonFiniteError
 from flaicf.config import DEEP_KINDS, AttentionMode, ConfigError, Design, ModelConfig, ModelKind
 from flaicf.data import split_per_user
 from flaicf.evaluation import (
@@ -21,7 +22,14 @@ from flaicf.evaluation import (
     ndcg_at_n,
     rank_items,
 )
-from flaicf.predictors import BlockWorkspace, PredictionContext, block_rows, forward_block, predict
+from flaicf.predictors import (
+    BlockWorkspace,
+    PredictionContext,
+    block_rows,
+    forward_block,
+    forward_cache,
+    predict,
+)
 from tests.conftest import make_dataset, random_dataset, random_params
 
 
@@ -272,6 +280,46 @@ def test_forward_block_workspace_is_bitwise_and_reused(cfg):
     # the smaller second block reuses every buffer of the first
     assert workspace.buffers.keys() == first.keys()
     assert all(workspace.buffers[name] is buf for name, buf in first.items())
+
+
+@pytest.mark.parametrize("cfg", SCORER_CONFIGS, ids=config_id)
+def test_a_block_matches_forward_cache_at_one_history_item_and_one_candidate(cfg):
+    params = random_params(cfg, 14, 3, seed=47, scale=0.3)
+    cases = ((2, [5], slice(0, 14)), (1, [3, 6, 9, 12], slice(7, 8)), (0, [13], slice(4, 5)))
+    for user, hist, items in cases:
+        hist = np.array(hist)
+        block = forward_block(cfg, params, user, items, params.P[items], params.Q[hist]).score
+        assert block.shape == (len(range(14)[items]),)
+        for score, item in zip(block, range(14)[items]):
+            if item in hist:
+                continue
+            one = forward_cache(PredictionContext(user, item, hist), params, cfg).score
+            assert score == pytest.approx(one, rel=1e-9, abs=1e-12), (user, item)
+
+
+SOFTMAX_LOGITS = [(cfg, which) for cfg in SCORER_CONFIGS
+                  for which in ("item", "feature")
+                  if getattr(cfg, f"{which}_attention")
+                  and (which == "item" or cfg.design is Design.DESIGN2)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("cfg,which", SOFTMAX_LOGITS,
+                         ids=[f"{config_id(c)}-{w}" for c, w in SOFTMAX_LOGITS])
+def test_a_nonfinite_logit_in_a_ranking_block_raises(cfg, which, bad):
+    split = split_per_user(random_dataset(37, n_users=8, n_items=14, min_items=4), seed=6)
+    params = random_params(cfg, 14, 8, seed=48, scale=0.3)
+    # hidden unit 0 reads 1 for every (candidate, history item) pair, so
+    # its logit weight reaches every item logit, or every logit of feature 2
+    params.W[0] = 0.0
+    params.b[0] = 1.0
+    if which == "item":
+        params.h[0] = bad
+    else:
+        params.H[0, 2] = bad
+    user = int(np.argmax([h.size for h in split.train.items_by_user]))
+    with pytest.raises(NonFiniteError):
+        model_scorer(params, cfg, split)(user)
 
 
 def long_history_split():
