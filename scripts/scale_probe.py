@@ -1,4 +1,4 @@
-"""Time full ranking at the paper's catalogue size and write BENCH_scale_<label>.json.
+"""Time full ranking and data preparation at the paper's scale and write BENCH_scale_<label>.json.
 
     python3 scripts/scale_probe.py --label L [--users 8] [--reps 5] [--seed 0]
 
@@ -10,17 +10,30 @@ and one test item drawn uniformly from 3706, and random parameters
 (d = d' = 16, beta 0.7, every array drawn from N(0, 0.1)). For NAIS,
 FLA_NAIS Design 2 and FLA_DICF Design 2 it times evaluation.evaluate_model
 on the test part serially and with 2 workers, --reps times, and reports
-the fastest run as milliseconds per user. Nothing is trained and nothing
-is written but BENCH_scale_<label>.json at the root of the checkout,
-which also holds the commit and the machine facts. Run it on two
-checkouts in the same session to compare them; it is not part of the
-test suite.
+the fastest run as milliseconds per user.
+
+The benchmark's raw files hold about 120k lines, so they cannot show the
+cost of preparing ML-1M either. The probe writes an ML-1M-shaped raw file
+with bench/generate.py (6040 users, 3706 items, a 5-core of about 868k
+pairs inside 1.05M lines, generator seed 1, fixed whatever --seed is) to
+a temporary directory, then times `flaicf prepare --k_user 5 --k_item 5`
+of it and `data.load_split` of the result, --reps times each, and reports
+their medians in milliseconds.
+
+Nothing is trained and nothing is kept but BENCH_scale_<label>.json at
+the root of the checkout, which also holds the commit and the machine
+facts. To compare two checkouts, run it in each, alternating, on the
+same machine; it is not part of the test suite.
 """
 
 import argparse
+import contextlib
+import io
 import json
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -30,10 +43,12 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import numpy as np  # noqa: E402
 
+from flaicf.cli import main as flaicf_main  # noqa: E402
 from flaicf.config import ModelConfig  # noqa: E402
-from flaicf.data import InteractionDataset, SplitDataset  # noqa: E402
+from flaicf.data import InteractionDataset, SplitDataset, load_split  # noqa: E402
 from flaicf.evaluation import evaluate_model  # noqa: E402
 from flaicf.params import array_shapes, init_parameters  # noqa: E402
+from generate import K_CORE, Shape, generate  # noqa: E402  (bench/generate.py)
 from run import machine  # noqa: E402  (bench/run.py)
 
 ITEMS = 3706  # ML-1M after its 5-core
@@ -47,6 +62,10 @@ WORKERS = (("serial", 1), ("pool2", 2))
 D = 16
 BETA = 0.7
 PARAM_SCALE = 0.1
+# 6040 users as in ML-1M; the generator tops up every item to 5 users.
+ML1M_SHAPE = Shape(users=6040, items=ITEMS, clusters=8, median_len=96, len_sigma=0.9,
+                   in_cluster=0.8, zipf=0.6, tail_lines=100_000, core_seed=1)
+ML1M_SEED = 1
 
 
 def history_split(m: int, users: int, rng: np.random.Generator) -> SplitDataset:
@@ -72,6 +91,41 @@ def random_parameters(config: ModelConfig, users: int, seed: int):
     return params
 
 
+def time_prepare(reps: int) -> dict:
+    """Medians of reps `flaicf prepare` calls on the ML-1M-shaped raw file,
+    and of reps `load_split` calls on their output."""
+    with tempfile.TemporaryDirectory(prefix="scale_probe_") as tmp:
+        gen = generate(ML1M_SHAPE, ML1M_SEED, Path(tmp))
+        out = Path(tmp) / "prepared"
+        argv = ["prepare", "--raw", str(gen.raw_path), "--format", "MOVIELENS_DAT",
+                "--k_user", str(K_CORE), "--k_item", str(K_CORE), "--out_dir", str(out)]
+        prepare_s, load_s = [], []
+        for _ in range(reps):
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = flaicf_main(argv)
+            prepare_s.append(time.perf_counter() - start)
+            if code != 0:
+                raise SystemExit(f"flaicf prepare exited with {code}")
+            start = time.perf_counter()
+            split = load_split(out)
+            load_s.append(time.perf_counter() - start)
+    pairs = sum(part.interaction_count for part in (split.train, split.valid, split.test))
+    core = (gen.core_users, gen.core_items, gen.core_interactions)
+    if (split.train.user_count, split.train.item_count, pairs) != core:
+        raise SystemExit(f"prepare kept {split.train.user_count} users, {split.train.item_count} "
+                         f"items and {pairs} pairs, not the generator's {core}")
+    return {
+        "raw_lines": gen.raw_lines,
+        "core_users": gen.core_users,
+        "core_items": gen.core_items,
+        "core_pairs": gen.core_interactions,
+        "statistic": "median of reps",
+        "prepare_ms": 1e3 * statistics.median(prepare_s),
+        "load_split_ms": 1e3 * statistics.median(load_s),
+    }
+
+
 def commit() -> str:
     try:
         out = subprocess.run(["git", "-C", str(ROOT), "describe", "--always", "--dirty"],
@@ -85,16 +139,21 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True)
     parser.add_argument("--users", type=int, default=8, help="users per history length")
-    parser.add_argument("--reps", type=int, default=5, help="timed runs per cell; the fastest counts")
+    parser.add_argument("--reps", type=int, default=5,
+                        help="timed runs per ranking cell (the fastest counts) and of "
+                             "prepare and load_split (the median counts)")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     if args.users < 1 or args.reps < 1:
         parser.error("--users and --reps must be >= 1")
 
+    started = time.perf_counter()
+    prepare = time_prepare(args.reps)
+    print(f"prepare {prepare['raw_lines']} lines {prepare['prepare_ms']:8.1f} ms, "
+          f"load_split {prepare['load_split_ms']:7.1f} ms", flush=True)
     rng = np.random.default_rng(args.seed)
     splits = {m: history_split(m, args.users, rng) for m in HISTORIES}
     ms_per_user: dict[str, dict] = {}
-    started = time.perf_counter()
     for label, kind in KINDS:
         config = ModelConfig(d=D, beta=BETA, **kind)
         params = random_parameters(config, args.users, args.seed)
@@ -122,6 +181,7 @@ def main(argv=None) -> int:
         "beta": BETA,
         "statistic": "fastest of reps, evaluate_model wall / users",
         "ms_per_user": ms_per_user,
+        "prepare": prepare,
         "wall_s": time.perf_counter() - started,
         "machine": machine(),
     }

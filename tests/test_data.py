@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from flaicf import data
 from flaicf.data import (
     DataFormatError,
     EmptyDatasetError,
@@ -239,3 +240,188 @@ def test_save_load_round_trip(tmp_path):
 def test_load_missing_dir(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_split(tmp_path / "nowhere")
+
+
+# ------------------------------------------ bulk paths against line loops
+#
+# The reference functions below are the line-by-line parser, the np.split
+# grouping and the row-wise pair writer that the bulk code replaced. The
+# bulk code must give identical datasets, errors and bytes.
+
+
+def _reference_parse(path, fmt):
+    delimiter = data.FORMAT_DELIMITERS[fmt]
+    raw_pairs = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line:
+                continue
+            fields = line.split(delimiter)
+            if len(fields) < 2:
+                raise DataFormatError(
+                    f"{path}:{lineno}: expected at least 2 fields separated by "
+                    f"{delimiter!r}, got {len(fields)}"
+                )
+            raw_pairs.append((fields[0], fields[1]))
+    user_index, item_index = {}, {}
+    users = np.fromiter((user_index.setdefault(u, len(user_index)) for u, _ in raw_pairs),
+                        dtype=np.int64, count=len(raw_pairs))
+    items = np.fromiter((item_index.setdefault(i, len(item_index)) for _, i in raw_pairs),
+                        dtype=np.int64, count=len(raw_pairs))
+    return list(user_index), list(item_index), _reference_grouping(users, items, len(user_index))
+
+
+def _reference_grouping(users, items, user_count):
+    order = np.lexsort((items, users))
+    users, items = users[order], items[order]
+    new = np.ones(users.size, dtype=bool)
+    new[1:] = (users[1:] != users[:-1]) | (items[1:] != items[:-1])
+    users, items = users[new], items[new]
+    return np.split(items, np.cumsum(np.bincount(users, minlength=user_count)))[:-1]
+
+
+def _reference_pair_bytes(view):
+    return "".join(f"{u}\t{i}\n" for u, i in view.pairs()).encode("utf-8")
+
+
+def _assert_same_groups(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+def _random_raw_file(rng, path, fmt, malformed):
+    """Lines of 2-6 fields over a small id pool (so with duplicates), each
+    ended by "\\n", "\\r\\n" or a lone "\\r", with blank lines between and
+    no line end after the last; optionally one line of a single field."""
+    delimiter = data.FORMAT_DELIMITERS[fmt]
+    n_users, n_items = int(rng.integers(1, 30)), int(rng.integers(1, 40))
+    lines = []
+    for _ in range(int(rng.integers(1, 200))):
+        fields = [f"u{rng.integers(n_users)}", f"i{rng.integers(n_items)}"]
+        fields += [str(rng.integers(100)) for _ in range(int(rng.integers(0, 5)))]
+        lines.append(delimiter.join(fields))
+        if rng.random() < 0.1:
+            lines.append("")
+    if malformed:
+        lines.insert(int(rng.integers(len(lines) + 1)), f"u{rng.integers(n_users)}")
+    ends = rng.choice(["\n", "\r\n", "\r"], size=len(lines))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    path.write_bytes(text.removesuffix(ends[-1]).encode("utf-8"))
+    return str(path)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_parse_matches_the_line_by_line_reference(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    for fmt in ("MOVIELENS_DAT", "CSV", "TSV"):
+        for malformed in (False, True):
+            path = _random_raw_file(rng, tmp_path / f"{fmt}-{malformed}.txt", fmt, malformed)
+            try:
+                want = _reference_parse(path, fmt)
+            except DataFormatError as exc:
+                with pytest.raises(DataFormatError) as got:
+                    parse_interactions(path, fmt)
+                assert str(got.value) == str(exc)
+                continue
+            ds = parse_interactions(path, fmt)
+            assert (ds.user_ids, ds.item_ids) == want[:2]
+            _assert_same_groups(ds.items_by_user, want[2])
+
+
+def test_a_leading_byte_order_mark_is_not_part_of_the_first_user(tmp_path):
+    path = tmp_path / "r.dat"
+    path.write_bytes(b"\xef\xbb\xbfu1::i1::5::1\nu1::i2::3::2")
+    ds = parse_interactions(path, "MOVIELENS_DAT")
+    assert ds.user_ids == ["u1"]
+    assert ds.items_by_user[0].tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_grouping_matches_np_split(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 300))
+    max_user = int(rng.integers(1, 40))
+    users = rng.integers(max_user, size=n).astype(np.int64)  # gaps and repeats
+    items = rng.integers(25, size=n).astype(np.int64)
+    user_count = max_user + int(rng.integers(0, 4))  # trailing users with no items
+    _assert_same_groups(data._group_by_user(users, items, user_count),
+                        _reference_grouping(users, items, user_count))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_save_split_bytes_match_the_row_writer(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    n_users, n_items = int(rng.integers(1, 25)), int(rng.integers(1, 30))
+    by_user = {u: rng.choice(n_items, size=int(rng.integers(0, n_items + 1)), replace=False).tolist()
+               for u in range(n_users)}
+    by_user[n_users + 1] = []  # two trailing users with no items
+    split = split_per_user(make_dataset(by_user, n_items), seed=seed)
+    save_split(split, tmp_path)
+    for name in ("train", "valid", "test"):
+        got = (tmp_path / f"{name}.txt").read_bytes()
+        assert got == _reference_pair_bytes(getattr(split, name))
+
+
+# Pair-file bodies for a vocab of 5000 users and 5000 items; True marks the
+# ones np.loadtxt reads, so that the line loop is never reached.
+PAIR_FILES = {
+    "plain": ("0\t1\n2\t3\n", True),
+    "plus-sign": ("+3\t1\n", True),
+    "spaces": (" 3 \t 1 \n", True),
+    "crlf-and-cr": ("0\t1\r\n2\t3\r4\t5\n", True),
+    "blank-lines": ("0\t1\n\n2\t3\n", True),
+    "minus-zero": ("-0\t1\n", True),
+    "underscore": ("3_000\t1\n", False),
+    "arabic-digit": ("\u0663\t1\n", False),
+    "float": ("1.0\t1\n", False),
+    "hash": ("#1\t1\n", False),
+    "past-int64": ("99999999999999999999\t1\n", False),
+    "empty": ("", False),
+    "only-blank": ("\n\n", False),
+    "whitespace-line": ("0\t1\n   \n2\t3\n", False),
+    "trailing-tab": ("3\t4\t\n", False),
+    "one-column": ("3\n4\n", False),
+    "three-columns": ("3\t4\t5\n", False),
+    "negative": ("0\t1\n-1\t2\n", False),
+    "user-past-vocab": ("0\t1\n5000\t2\n", False),
+    "item-past-vocab": ("0\t5000\n", False),
+    "byte-order-mark": ("\ufeff0\t1\n", False),
+    "not-utf8": (b"0\t1\n\xff\t2\n", False),
+}
+
+
+@pytest.mark.parametrize("name", list(PAIR_FILES))
+def test_load_split_bulk_read_matches_the_line_loop(tmp_path, monkeypatch, name):
+    body, bulk = PAIR_FILES[name]
+    path = tmp_path / "train.txt"
+    if isinstance(body, bytes):
+        path.write_bytes(body)
+    else:
+        path.write_bytes(body.encode("utf-8"))
+    loop = data._read_pairs_by_line
+    try:
+        want = loop(path, 5000, 5000)
+    except DataFormatError as exc:
+        want = str(exc)
+    calls = []
+    monkeypatch.setattr(data, "_read_pairs_by_line", lambda *a: calls.append(a) or loop(*a))
+    try:
+        got = data._read_pairs(path, 5000, 5000)
+    except DataFormatError as exc:
+        assert str(exc) == want
+    else:
+        assert [col.tolist() for col in got] == [col.tolist() for col in want]
+        assert all(col.dtype == np.int64 for col in got)
+    assert len(calls) == (0 if bulk else 1)
+
+
+def test_load_split_reads_saved_files_in_bulk(tmp_path, monkeypatch):
+    split = split_per_user(random_dataset(23, n_users=12, n_items=16), seed=2)
+    save_split(split, tmp_path)
+    monkeypatch.setattr(data, "_read_pairs_by_line", None)  # any call would fail
+    loaded = load_split(tmp_path)
+    for name in ("train", "valid", "test"):
+        _assert_same_groups(getattr(loaded, name).items_by_user,
+                            getattr(split, name).items_by_user)
