@@ -49,7 +49,7 @@ from .predictors import (
     predict_fla,
     predict_nais,
 )
-from .training import pretrain_fism, sample_negatives, train
+from .training import sample_negatives, train
 
 __version__ = "0.1.0"
 
@@ -85,7 +85,6 @@ __all__ = [
     "predict_fism",
     "predict_fla",
     "predict_nais",
-    "pretrain_fism",
     "rank_items",
     "sample_negatives",
     "save_checkpoint",

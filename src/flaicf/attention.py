@@ -10,8 +10,8 @@ Design 1 scales a per-item feature softmax by the item-level weight.
 
 predictors.forward_block composes the layers below into the forward
 pass. They take one target (arrays shaped history x features) or a block
-of candidate targets (a leading candidate axis); the *_weights,
-item_logit and feature_logits functions are views of it for one target.
+of candidate targets (a leading candidate axis); the *_weights
+functions are views of it for one target.
 
 The smoothed softmax is not shift invariant when beta != 1, so its logits
 are clamped to [-30, 30] instead of max-subtracted; exp stays finite in
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import AttentionMode, Design, ModelConfig, ModelKind
+from .config import Design, ModelConfig, ModelKind
 from .params import ParameterSet
 
 LOGIT_CLAMP = 30.0
@@ -63,19 +63,6 @@ class SmoothedSoftmax:
     def grad_mask(self) -> np.ndarray:
         """True where the logit clamp is inactive, so gradients pass."""
         return np.abs(self.logits) < LOGIT_CLAMP
-
-
-def feature_logits(p: np.ndarray, q: np.ndarray, W: np.ndarray, b: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Unnormalized per-feature attention logits for one (target, history) pair."""
-    params = ParameterSet.from_arrays(0, W=W, b=b, H=H)
-    return _block(ModelKind.FLA_NAIS, Design.DESIGN2, AttentionMode.PROD, p, [q], params, 1.0).a_hat[0]
-
-
-def item_logit(p: np.ndarray, q: np.ndarray, W: np.ndarray, b: np.ndarray, h: np.ndarray) -> float:
-    """Scalar attention logit for one (target, history) pair."""
-    params = ParameterSet.from_arrays(0, W=W, b=b, h=h)
-    block = _block(ModelKind.NAIS, Design.DESIGN2, AttentionMode.PROD, p, [q], params, 1.0)
-    return float(block.item_logits[0, 0])
 
 
 def normalize_features(logits: np.ndarray) -> np.ndarray:
@@ -169,40 +156,27 @@ def hidden_concat(p: np.ndarray, Q_hist: np.ndarray, W: np.ndarray, b: np.ndarra
     return Z, np.maximum(Z, 0.0, out=out[1])
 
 
-def nais_weights(
-    p: np.ndarray,
-    Q_hist: np.ndarray,
-    params: ParameterSet,
-    beta: float,
-    mode: AttentionMode = AttentionMode.PROD,
-) -> AttentionOutput:
-    """Item-level smoothed-softmax weights for a NAIS-style model."""
-    return _block(ModelKind.NAIS, Design.DESIGN2, mode, p, Q_hist, params, beta).attention()
-
-
 def design1_weights(p: np.ndarray, Q_hist: np.ndarray, params: ParameterSet, beta: float) -> AttentionOutput:
     """Feature weights scaled per item by a smoothed item-level softmax.
 
     Row j of feature_weights is the softmax of that item's feature logits
     multiplied by the item weight b_j, so the row sums to b_j exactly.
     """
-    block = _block(ModelKind.FLA_NAIS, Design.DESIGN1, AttentionMode.PROD, p, Q_hist, params, beta)
-    return block.attention()
+    return _block(Design.DESIGN1, p, Q_hist, params, beta).attention()
 
 
 def design2_weights(p: np.ndarray, Q_hist: np.ndarray, params: ParameterSet, beta: float) -> AttentionOutput:
     """Feature weights from per-feature smoothed softmaxes over the history."""
-    block = _block(ModelKind.FLA_NAIS, Design.DESIGN2, AttentionMode.PROD, p, Q_hist, params, beta)
-    return block.attention()
+    return _block(Design.DESIGN2, p, Q_hist, params, beta).attention()
 
 
-def _block(kind, design, mode, p, Q_hist, params: ParameterSet, beta: float):
-    """forward_block of one target p against the history rows Q_hist."""
+def _block(design, p, Q_hist, params: ParameterSet, beta: float):
+    """FLA_NAIS forward_block of one target p against the history rows Q_hist."""
     from .predictors import forward_block  # predictors builds on this module
 
     Q_hist = np.asarray(Q_hist, dtype=float)
     if Q_hist.ndim != 2 or Q_hist.shape[0] == 0:
         raise ValueError("attention weights need a nonempty history matrix")
-    config = ModelConfig(model_kind=kind, design=design, attention_mode=mode, d=Q_hist.shape[1], beta=beta)
+    config = ModelConfig(model_kind=ModelKind.FLA_NAIS, design=design, d=Q_hist.shape[1], beta=beta)
     # user and target index only the deep family's biases, unused here
     return forward_block(config, params, 0, 0, np.asarray(p, dtype=float), Q_hist)

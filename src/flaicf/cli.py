@@ -190,6 +190,8 @@ def resolve_configs(args: argparse.Namespace) -> list[tuple[RunConfig, str]]:
     for key, text in raw.items():
         if key in SWEEPABLE and "," in text:
             sweeps[key] = [_coerce(key, part) for part in text.split(",") if part != ""]
+            if not sweeps[key]:
+                raise CliError(f"key {key} lists no value, got {text!r}")
         else:
             values[key] = _coerce(key, text)
 

@@ -142,22 +142,18 @@ def k_core_filter(dataset: InteractionDataset, k_user: int, k_item: int) -> Inte
     preserving the original id order."""
     if k_user < 1 or k_item < 1:
         raise ConfigError(f"core sizes must be >= 1, got k_user={k_user}, k_item={k_item}")
-    pairs = dataset.pairs()
-    keep = np.ones(pairs.shape[0], dtype=bool)
+    kept = dataset.pairs()
     while True:
-        u_deg = np.bincount(pairs[keep, 0], minlength=dataset.user_count)
-        i_deg = np.bincount(pairs[keep, 1], minlength=dataset.item_count)
-        bad = keep & (
-            (u_deg[pairs[:, 0]] < k_user) | (i_deg[pairs[:, 1]] < k_item)
-        )
-        if not bad.any():
+        u_deg = np.bincount(kept[:, 0], minlength=dataset.user_count)
+        i_deg = np.bincount(kept[:, 1], minlength=dataset.item_count)
+        keep = (u_deg[kept[:, 0]] >= k_user) & (i_deg[kept[:, 1]] >= k_item)
+        if keep.all():
             break
-        keep &= ~bad
-    if not keep.any():
+        kept = kept[keep]
+    if not kept.size:
         raise EmptyDatasetError(
             f"k-core filtering with k_user={k_user}, k_item={k_item} removed everything"
         )
-    kept = pairs[keep]
     user_kept = np.zeros(dataset.user_count, dtype=bool)
     item_kept = np.zeros(dataset.item_count, dtype=bool)
     user_kept[kept[:, 0]] = True

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -126,10 +127,6 @@ def _pretrained_embeddings(split, cache, tag, model_config: ModelConfig, train_c
     return params.P, params.Q
 
 
-def fism_test_metrics(split, cache: RunCache, tag: str, **kwargs) -> dict:
-    return train_and_test(split, cache, tag, model="FISM", pretrain=False, **kwargs)
-
-
 def baseline_test_metrics(split, cache: RunCache, tag: str, baseline: str, seed: int = 1) -> dict:
     settings = {"baseline": baseline, "seed": seed}
     hit = cache.get(tag, settings)
@@ -138,14 +135,6 @@ def baseline_test_metrics(split, cache: RunCache, tag: str, baseline: str, seed:
     scorer = baseline_scores(baseline, split, seed=seed)
     record = evaluate(scorer, split, on="test", n=10)
     return cache.put(tag, settings, {"test_hr": record.hr, "test_ndcg": record.ndcg})
-
-
-def median(values) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
 
 
 def run_delicious(data_dir, out_dir, seeds=SEEDS, lr_grid=LR_GRID, eval_workers: int = 1) -> dict:
@@ -185,8 +174,8 @@ def run_delicious(data_dir, out_dir, seeds=SEEDS, lr_grid=LR_GRID, eval_workers:
             for seed in seeds
         }
     per_seed["FISM"] = {
-        str(seed): fism_test_metrics(split, cache, tag, lr=best_lr_value, seed=seed, d=16,
-                                     eval_workers=eval_workers)
+        str(seed): train_and_test(split, cache, tag, model="FISM", lr=best_lr_value, seed=seed,
+                                  d=16, pretrain=False, eval_workers=eval_workers)
         for seed in seeds
     }
     per_seed["FLA_NAIS_2_nopre"] = {
@@ -216,8 +205,8 @@ def run_delicious(data_dir, out_dir, seeds=SEEDS, lr_grid=LR_GRID, eval_workers:
         "baselines": baselines,
         "medians": {
             name: {
-                "test_hr": median([r["test_hr"] for r in runs.values()]),
-                "test_ndcg": median([r["test_ndcg"] for r in runs.values()]),
+                "test_hr": statistics.median([r["test_hr"] for r in runs.values()]),
+                "test_ndcg": statistics.median([r["test_ndcg"] for r in runs.values()]),
             }
             for name, runs in per_seed.items()
         },

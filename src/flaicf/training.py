@@ -32,14 +32,12 @@ from .predictors import PredictionContext, forward_cache
 
 __all__ = [
     "TrainingDivergedError",
-    "log_loss",
     "adagrad_step",
     "sample_negatives",
     "epoch_instances",
     "check_trainable",
     "history_for",
     "train",
-    "pretrain_fism",
     "train_fism",
     "gradcheck",
     "GradcheckReport",
@@ -52,24 +50,6 @@ TINY = np.finfo(np.float64).tiny
 
 class TrainingDivergedError(RuntimeError):
     """A logit, score, loss or parameter became NaN or infinite during training."""
-
-
-def log_loss(scores, labels, l2: float = 0.0, params: ParameterSet | None = None) -> float:
-    """Mean binary cross entropy plus the full l2 penalty.
-
-    An empty batch contributes a zero data term, so the loss reduces to
-    the penalty alone.
-    """
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    if scores.shape != labels.shape:
-        raise ValueError(f"scores shaped {scores.shape}, labels shaped {labels.shape}")
-    data = 0.0
-    if scores.size:
-        data = sum(instance_data_loss(float(s), float(y)) for s, y in zip(scores, labels))
-        data /= scores.size
-    reg = l2 * params.sum_squares() if (l2 != 0.0 and params is not None) else 0.0
-    return data + reg
 
 
 def adagrad_step(
@@ -268,12 +248,3 @@ def train_fism(
     params, records = train(ModelKind.FISM, split, fism_config, train_config)
     return fism_config, params, records
 
-
-def pretrain_fism(
-    split,
-    model_config: ModelConfig,
-    train_config: TrainConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Train a FISM model of the same width and return its (P, Q)."""
-    _, params, _ = train_fism(split, model_config, train_config)
-    return params.P.copy(), params.Q.copy()

@@ -15,13 +15,12 @@ from flaicf.attention import (
     _smoothed_parts,
     design1_weights,
     design2_weights,
-    feature_logits,
-    item_logit,
-    nais_weights,
     normalize_features,
     smoothed_softmax,
 )
 from flaicf.config import AttentionMode, Design, ModelConfig, ModelKind
+from flaicf.params import ParameterSet
+from flaicf.predictors import PredictionContext, attention_for, forward_block
 from tests.conftest import random_params
 
 
@@ -57,6 +56,28 @@ def naive_smoothed(logits, beta):
 def fla_params(d=8, d_prime=6, seed=0, design=Design.DESIGN1):
     cfg = ModelConfig(model_kind=ModelKind.FLA_NAIS, design=design, d=d, d_prime=d_prime)
     return cfg, random_params(cfg, item_count=10, user_count=2, seed=seed)
+
+
+def one_pair(kind, p, q, **arrays):
+    """forward_block of kind (Design 2, beta 1) for target p against the one-item history q."""
+    cfg = ModelConfig(model_kind=kind, d=q.size, d_prime=arrays["W"].shape[0], beta=1.0)
+    return forward_block(cfg, ParameterSet.from_arrays(0, **arrays), 0, 0, p, q[None])
+
+
+def feature_logits(p, q, W, b, H):
+    return one_pair(ModelKind.FLA_NAIS, p, q, W=W, b=b, H=H).a_hat[0]
+
+
+def item_logit(p, q, W, b, h):
+    return float(one_pair(ModelKind.NAIS, p, q, W=W, b=b, h=h).item_logits[0, 0])
+
+
+def nais_attention(params, beta, m, mode=AttentionMode.PROD):
+    """attention_for of a NAIS model on target 0 against the history items 1..m."""
+    cfg = ModelConfig(model_kind=ModelKind.NAIS, attention_mode=mode, d=params.P.shape[1],
+                      d_prime=params.W.shape[0], beta=beta)
+    ctx = PredictionContext(user=0, target=0, history=np.arange(1, m + 1))
+    return params.P[0], params.Q[1:m + 1], attention_for(ctx, params, cfg)
 
 
 # ----------------------------------------------------------- feature path
@@ -283,10 +304,8 @@ def test_design2_vs_per_column_oracle():
 def test_nais_prod_vs_naive():
     cfg = ModelConfig(model_kind=ModelKind.NAIS, d=6, d_prime=4)
     params = random_params(cfg, 10, 2, seed=11)
-    rng = np.random.default_rng(11)
     m = 5
-    p, Q = rng.normal(size=6), rng.normal(size=(m, 6))
-    out = nais_weights(p, Q, params, beta=0.6, mode=AttentionMode.PROD)
+    p, Q, out = nais_attention(params, 0.6, m)
     v = [naive_item_logit(p, Q[j], params.W, params.b, params.h) for j in range(m)]
     np.testing.assert_allclose(out.item_weights, naive_smoothed(v, 0.6), atol=1e-12)
     assert out.feature_weights is None
@@ -295,10 +314,8 @@ def test_nais_prod_vs_naive():
 def test_nais_concat_vs_naive():
     cfg = ModelConfig(model_kind=ModelKind.NAIS, attention_mode=AttentionMode.CONCAT, d=4, d_prime=3)
     params = random_params(cfg, 10, 2, seed=12)
-    rng = np.random.default_rng(12)
     m = 4
-    p, Q = rng.normal(size=4), rng.normal(size=(m, 4))
-    out = nais_weights(p, Q, params, beta=0.8, mode=AttentionMode.CONCAT)
+    p, Q, out = nais_attention(params, 0.8, m, AttentionMode.CONCAT)
     v = []
     for j in range(m):
         x = np.concatenate([p, Q[j]])
@@ -312,9 +329,7 @@ def test_nais_uniform_when_h_zero():
     cfg = ModelConfig(model_kind=ModelKind.NAIS, d=4, d_prime=3)
     params = random_params(cfg, 10, 2, seed=13)
     params.h[:] = 0.0
-    rng = np.random.default_rng(13)
-    Q = rng.normal(size=(5, 4))
-    out = nais_weights(rng.normal(size=4), Q, params, beta=0.7)
+    _, _, out = nais_attention(params, 0.7, 5)
     np.testing.assert_allclose(out.item_weights, np.full(5, 5.0 ** -0.7), atol=1e-12)
 
 
@@ -325,8 +340,9 @@ def test_empty_history_rejected_everywhere():
     for fn in (design1_weights, design2_weights):
         with pytest.raises(ValueError):
             fn(p, empty, params, beta=0.7)
+    nais = ModelConfig(model_kind=ModelKind.NAIS, d=cfg.d, d_prime=cfg.d_prime)
     with pytest.raises(ValueError):
-        nais_weights(p, empty, params, beta=0.7)
+        nais_attention(random_params(nais, 10, 2, seed=1), 0.7, 0)
 
 
 def test_weights_nonnegative_and_shaped():

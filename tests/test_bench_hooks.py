@@ -7,11 +7,13 @@ leave a traced benchmark run without that layer's figures; this test
 makes that a tier-1 failure. It trains, which also validates, and then
 ranks the test split serially, as the benchmark's ranking phase does.
 
-The other test here keeps the program's module attributes honest the
-other way round: a name a module imports and never uses is reported.
+The other tests here keep the program's module attributes honest the
+other way round: a name a module imports and never uses is reported, and
+so is a name a module's __all__ lists but does not define.
 """
 
 import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -82,3 +84,15 @@ def test_no_module_imports_a_name_it_never_uses():
              if path.name != "__init__.py"}
     assert "predictors.py" in found
     assert not {name: names for name, names in found.items() if names}
+
+
+def test_every_name_in_a_modules_all_resolves():
+    missing, checked = {}, []
+    for path in sorted((ROOT / "src" / "flaicf").glob("*.py")):
+        name = "flaicf" if path.stem == "__init__" else f"flaicf.{path.stem}"
+        module = importlib.import_module(name)
+        if hasattr(module, "__all__"):
+            checked.append(name)
+            missing[name] = [n for n in module.__all__ if not hasattr(module, n)]
+    assert {"flaicf", "flaicf.training"} <= set(checked)
+    assert not {name: names for name, names in missing.items() if names}

@@ -165,6 +165,18 @@ def test_invalid_beta_rejected_before_training(prepared, tmp_path, capsys):
     assert not (tmp_path / "bad").exists()  # nothing was written
 
 
+@pytest.mark.parametrize("argv", [
+    ["gradcheck", "--model", "NAIS", "--beta", ","],
+    ["train", "--data_dir", "d", "--out_dir", "o", "--epochs", ",,"],
+], ids=["gradcheck-beta", "train-epochs"])
+def test_an_empty_sweep_list_is_a_usage_error(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    key = argv[-2].lstrip("-")
+    assert f"error: category=usage key {key} lists no value" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())  # nothing ran
+
+
 def test_unknown_config_key_rejected(prepared, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("modle=NAIS\n")

@@ -1,5 +1,7 @@
 """Parsing, k-core filtering, per-user splitting, and split persistence."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,36 @@ def test_k_core_degree_audit():
     # idempotence: the output is its own fixed point
     again = k_core_filter(out, 3, 3)
     assert again.interaction_count == out.interaction_count
+
+
+def naive_k_core(pairs: set, k_user: int, k_item: int) -> set:
+    """Peel one user or item at a time until every degree reaches its k."""
+    kept = set(pairs)
+    while True:
+        users = Counter(u for u, _ in kept)
+        items = Counter(i for _, i in kept)
+        low = [("u", u) for u, n in users.items() if n < k_user]
+        low += [("i", i) for i, n in items.items() if n < k_item]
+        if not low:
+            return kept
+        side, node = low[0]
+        kept = {(u, i) for u, i in kept if (u if side == "u" else i) != node}
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+@pytest.mark.parametrize("k_user,k_item", [(1, 1), (2, 3), (3, 2), (4, 4), (6, 3), (3, 6)])
+def test_k_core_keeps_every_pair_the_core_can_keep(seed, k_user, k_item):
+    # the k-core is the largest subset whose degrees all reach k: a pair
+    # dropped without need would pass the degree audit but not this
+    ds = random_dataset(seed, n_users=30, n_items=25, min_items=1, max_items=8)
+    raw = {(ds.user_ids[u], ds.item_ids[i]) for u, i in ds.pairs().tolist()}
+    expect = naive_k_core(raw, k_user, k_item)
+    if not expect:
+        with pytest.raises(EmptyDatasetError):
+            k_core_filter(ds, k_user, k_item)
+        return
+    out = k_core_filter(ds, k_user, k_item)
+    assert {(out.user_ids[u], out.item_ids[i]) for u, i in out.pairs().tolist()} == expect
 
 
 def test_k_core_preserves_first_appearance_order():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from flaicf.attention import design2_weights, nais_weights, smoothed_softmax
+from flaicf.attention import design2_weights, smoothed_softmax
 from flaicf.config import AttentionMode, Design, ModelConfig, ModelKind
 from flaicf.params import init_parameters
 from flaicf.predictors import (
@@ -97,7 +97,7 @@ def test_nais_vs_naive_both_modes():
         cfg = ModelConfig(model_kind=ModelKind.NAIS, attention_mode=mode, d=5, d_prime=4, beta=0.6)
         params = random_params(cfg, 9, 1, seed=6)
         ctx = ctx_for(4)
-        w = nais_weights(params.P[ctx.target], params.Q[ctx.history], params, 0.6, mode).item_weights
+        w = attention_for(ctx, params, cfg).item_weights
         expect = sum(w[k] * float(params.P[0] @ params.Q[j]) for k, j in enumerate(ctx.history))
         assert predict_nais(ctx, params, cfg) == pytest.approx(expect, rel=1e-12)
 
@@ -156,7 +156,7 @@ def test_deepicf_identity_layer_sums_pool():
     params.b_user[:] = 0.0
     params.b_item[:] = 0.0
     ctx = ctx_for(4)
-    w = nais_weights(params.P[0], params.Q[ctx.history], params, cfg.beta).item_weights
+    w = attention_for(ctx, params, cfg).item_weights
     e = deepicf_pool(params.P[0], params.Q[ctx.history], w)
     assert np.all(e >= 0)
     assert deepicf_forward(ctx, params, cfg) == pytest.approx(float(e.sum()), rel=1e-12)
@@ -175,7 +175,7 @@ def test_deepicf_vs_naive_two_layers():
     cfg = ModelConfig(model_kind=ModelKind.DEEPICF, d=5, d_prime=4, deep_layers=(5, 2))
     params = random_params(cfg, 8, 2, seed=12)
     ctx = ctx_for(4, user=1)
-    w = nais_weights(params.P[0], params.Q[ctx.history], params, cfg.beta).item_weights
+    w = attention_for(ctx, params, cfg).item_weights
     e = np.zeros(5)
     for k, j in enumerate(ctx.history):
         e += w[k] * (params.P[0] * params.Q[j])

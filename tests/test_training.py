@@ -14,44 +14,14 @@ from flaicf.training import (
     adagrad_step,
     epoch_instances,
     history_for,
-    log_loss,
-    pretrain_fism,
     sample_negatives,
     train,
+    train_fism,
 )
 from flaicf.predictors import PredictionContext, forward_cache
 from tests.conftest import random_dataset, random_params
 from tests.test_checkpoint import ALL_CONFIGS
 from flaicf.data import split_per_user
-
-
-# ---------------------------------------------------------------- log loss
-
-
-def test_log_loss_ln2():
-    assert log_loss([0.0], [1.0]) == pytest.approx(math.log(2.0), rel=1e-12)
-
-
-def test_log_loss_empty_batch_is_penalty_only():
-    cfg = ModelConfig(model_kind=ModelKind.FISM, d=1)
-    params = init_parameters(cfg, 1, 1, seed=0)
-    params.P[:] = 2.0
-    params.Q[:] = 0.0
-    assert log_loss([], [], l2=0.5, params=params) == pytest.approx(0.5 * 4.0)
-
-
-def test_log_loss_mean_and_penalty():
-    cfg = ModelConfig(model_kind=ModelKind.FISM, d=1)
-    params = init_parameters(cfg, 1, 1, seed=0)
-    params.P[:] = 1.0
-    params.Q[:] = 1.0
-    expect = (math.log(2.0) + math.log(1 + math.exp(-3.0))) / 2 + 0.1 * 2.0
-    assert log_loss([0.0, 3.0], [1.0, 1.0], l2=0.1, params=params) == pytest.approx(expect, rel=1e-12)
-
-
-def test_log_loss_shape_mismatch():
-    with pytest.raises(ValueError):
-        log_loss([0.0, 1.0], [1.0])
 
 
 # ----------------------------------------------------------------- Adagrad
@@ -260,21 +230,25 @@ def test_all_kinds_survive_one_epoch():
 
 def test_pretrain_fism_shapes_and_determinism():
     split = split_per_user(random_dataset(13, n_users=8, n_items=12, min_items=4), seed=6)
-    cfg = ModelConfig(model_kind=ModelKind.FLA_NAIS, d=5, d_prime=5)
-    tc = quick_train_config(epochs=2)
-    P1, Q1 = pretrain_fism(split, cfg, tc)
-    P2, Q2 = pretrain_fism(split, cfg, tc)
-    assert P1.shape == (12, 5) and Q1.shape == (12, 5)
-    np.testing.assert_array_equal(P1, P2)
-    np.testing.assert_array_equal(Q1, Q2)
+    cfg = ModelConfig(model_kind=ModelKind.FLA_NAIS, d=5, d_prime=3, alpha=0.3, beta=0.6)
+    tc = quick_train_config(epochs=5)
+    fism_config, first, records = train_fism(split, cfg, tc, epochs=2)
+    _, second, _ = train_fism(split, cfg, tc, epochs=2)
+    assert fism_config == ModelConfig(model_kind=ModelKind.FISM, d=5, alpha=0.3, beta=0.6)
+    # a nonzero epochs overrides the train config's
+    assert len(records) == 2
+    assert first.P.shape == (12, 5) and first.Q.shape == (12, 5)
+    assert params_equal(first, second)
+    direct, _ = train(ModelKind.FISM, split, fism_config, quick_train_config(epochs=2))
+    assert params_equal(first, direct)
 
 
 def test_pretrained_init_propagates_into_training():
     split = split_per_user(random_dataset(14, n_users=8, n_items=12, min_items=4), seed=7)
     cfg = ModelConfig(model_kind=ModelKind.FLA_NAIS, d=4, d_prime=4)
     tc = quick_train_config(epochs=1)
-    P, Q = pretrain_fism(split, cfg, tc)
-    with_pre, _ = train(ModelKind.FLA_NAIS, split, cfg, tc, pretrained=(P, Q))
+    _, fism, _ = train_fism(split, cfg, tc)
+    with_pre, _ = train(ModelKind.FLA_NAIS, split, cfg, tc, pretrained=(fism.P, fism.Q))
     without, _ = train(ModelKind.FLA_NAIS, split, cfg, tc)
     assert not params_equal(with_pre, without)
 
