@@ -8,9 +8,9 @@ show it. This probe builds, from --seed, one in-memory split per history
 length m in 30, 100 and 300: --users users, each with m training items
 and one test item drawn uniformly from 3706, and random parameters
 (d = d' = 16, beta 0.7, every array drawn from N(0, 0.1)). For NAIS,
-FLA_NAIS Design 2 and FLA_DICF Design 2 it times evaluation.evaluate_model
-on the test part serially and with 2 workers, --reps times, and reports
-the fastest run as milliseconds per user.
+FLA_NAIS Designs 1 and 2 and FLA_DICF Design 2 it times
+evaluation.evaluate_model on the test part serially and with 2 workers,
+--reps times, and reports the fastest run as milliseconds per user.
 
 The benchmark's raw files hold about 120k lines, so they cannot show the
 cost of preparing ML-1M either. The probe writes an ML-1M-shaped raw file
@@ -55,6 +55,7 @@ ITEMS = 3706  # ML-1M after its 5-core
 HISTORIES = (30, 100, 300)
 KINDS = (
     ("NAIS", {"model_kind": "NAIS"}),
+    ("FLA_NAIS-D1", {"model_kind": "FLA_NAIS", "design": "DESIGN1"}),
     ("FLA_NAIS-D2", {"model_kind": "FLA_NAIS", "design": "DESIGN2"}),
     ("FLA_DICF-D2", {"model_kind": "FLA_DICF", "design": "DESIGN2"}),
 )

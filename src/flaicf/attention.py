@@ -15,8 +15,14 @@ functions are views of it for one target.
 
 The smoothed softmax is not shift invariant when beta != 1, so its logits
 are clamped to [-30, 30] instead of max-subtracted; exp stays finite in
-double precision over that range. The plain per-item feature softmax is
-shift invariant and uses max subtraction.
+double precision over that range. When every logit lies strictly inside
+the clamp (one min and one max; a NaN fails), exp reads the logits
+directly and no gradient is masked; otherwise they are checked for
+finiteness (NonFiniteError) and clipped. Design 1's per-item feature
+softmax is shift invariant and subtracts each row's max, except in a
+ranking block whose logits all lie within ±ROW_LOGIT_BOUND: there it
+folds the item weights into one factor per row, A = e * (w / sum e),
+which moves the weights only by rounding.
 """
 
 from __future__ import annotations
@@ -29,6 +35,9 @@ from .config import Design, ModelConfig, ModelKind
 from .params import ParameterSet
 
 LOGIT_CLAMP = 30.0
+# Design 1's block row softmax skips its max inside this bound: with item
+# weights at most e**LOGIT_CLAMP, w / sum e stays finite and normal.
+ROW_LOGIT_BOUND = 600.0
 
 
 class NonFiniteError(ValueError):
@@ -51,13 +60,15 @@ class SmoothedSoftmax:
 
     weights, exp and logits are shaped (..., m, k); denom, the sum of the
     exps over the history, is (..., k). weights is None where the caller
-    divides by denom ** beta itself (_smoothed_parts).
+    divides by denom ** beta itself (_smoothed_parts). clamped is False
+    when no logit reached the clamp (grad_mask all True).
     """
 
     weights: np.ndarray | None
     exp: np.ndarray
     denom: np.ndarray
     logits: np.ndarray
+    clamped: bool = True
 
     @property
     def grad_mask(self) -> np.ndarray:
@@ -98,13 +109,14 @@ def _smoothed_parts(
         raise ValueError("smoothed softmax needs at least one history item")
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    if not np.isfinite(logits).all():
+    clamped = not (-LOGIT_CLAMP < logits.min() and logits.max() < LOGIT_CLAMP)
+    if clamped and not np.isfinite(logits).all():
         raise NonFiniteError("logits must be finite")
-    e = logits.clip(-LOGIT_CLAMP, LOGIT_CLAMP, out=out[0])
-    np.exp(e, out=e)
+    e = logits.clip(-LOGIT_CLAMP, LOGIT_CLAMP, out=out[0]) if clamped else logits
+    e = np.exp(e, out=e if clamped else out[0])
     denom = e.sum(axis=-2) if weights else np.einsum("...jk->...k", e)
     w = np.divide(e, denom[..., None, :] ** beta, out=out[1]) if weights else None
-    return SmoothedSoftmax(weights=w, exp=e, denom=denom, logits=logits)
+    return SmoothedSoftmax(weights=w, exp=e, denom=denom, logits=logits, clamped=clamped)
 
 
 # Design 2's column softmax, under its own name so a tracer that wraps
@@ -112,11 +124,20 @@ def _smoothed_parts(
 _col_smoothed_parts = _smoothed_parts
 
 
-def _row_softmax(a_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Shifted softmax over the last (feature) axis, written into out when given."""
+def _row_softmax(a_hat: np.ndarray, out: np.ndarray | None = None, scale: np.ndarray | None = None):
+    """Shifted softmax over the last (feature) axis, written into out when given.
+
+    With scale (a ranking block's item weights, c x m x 1) it returns the
+    rows times their scale; within ±ROW_LOGIT_BOUND it skips the row max
+    and multiplies by one c x m factor, scale / (row sums by einsum).
+    """
+    if scale is not None and -ROW_LOGIT_BOUND < a_hat.min() and a_hat.max() < ROW_LOGIT_BOUND:
+        e = np.exp(a_hat, out=out)
+        return np.multiply(e, (scale[..., 0] / np.einsum("...t->...", e))[..., None], out=e)
     shifted = np.subtract(a_hat, a_hat.max(axis=-1, keepdims=True), out=out)
     np.exp(shifted, out=shifted)
-    return np.divide(shifted, shifted.sum(axis=-1, keepdims=True), out=shifted)
+    s = np.divide(shifted, shifted.sum(axis=-1, keepdims=True), out=shifted)
+    return s if scale is None else np.multiply(s, scale, out=s)
 
 
 def hidden_prod(p: np.ndarray, Q_hist: np.ndarray, W: np.ndarray, b: np.ndarray, out=(None, None), Wq=None):

@@ -327,12 +327,15 @@ def _write_metrics(stem: Path, records) -> None:
 
 def cmd_evaluate(config: RunConfig, suffix: str = "") -> dict:
     _require(config, "data_dir")
+    # validate the flags before reading a file
     train_config = config.train_config()
     n = train_config.eval_n
-    split = load_split(config.values["data_dir"])
     on = config.values["split"]
     if on not in ("valid", "test"):
         raise CliError(f"split must be valid or test, got {on!r}")
+    if not config.values["baseline"]:
+        _require(config, "checkpoint")
+    split = load_split(config.values["data_dir"])
     if config.values["baseline"]:
         scorer = baseline_scores(
             config.values["baseline"],
@@ -343,7 +346,6 @@ def cmd_evaluate(config: RunConfig, suffix: str = "") -> dict:
         record = evaluate(scorer, split, on, n)
         source = config.values["baseline"].upper()
     else:
-        _require(config, "checkpoint")
         params, model_config = _load_checkpoint_for(config.values["checkpoint"], split)
         record = evaluate_model(
             params, model_config, split, on, n, workers=train_config.eval_workers

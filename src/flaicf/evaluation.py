@@ -163,19 +163,21 @@ def _mean_metrics(results, on: str, n: int) -> MetricsRecord:
     )
 
 
-def model_scorer(params: ParameterSet, config: ModelConfig, split: SplitDataset):
-    """Score every item for a user, block by block of items.
+def model_scorer(params: ParameterSet, config: ModelConfig, split: SplitDataset, on: str | None = None):
+    """Score a user's items, block by block of items.
 
-    The history is the user's training positives; eval candidates are never
-    in it, so no per-candidate exclusion is needed. Each block of items is
-    scored by predictors.forward_block (_score_chunk), which matches the
-    instance forward pass up to rounding; predictors.block_rows sizes the
-    blocks for the user's history length, and predictors.fold_history
-    folds the history into the hidden layer once per user. Every block
-    writes its intermediates into one BlockWorkspace, made once per
-    scorer, so they live only until the next block and a scorer is not
-    safe to call from two threads at once; the scores returned are a fresh
-    array per user.
+    With on (valid or test) only the candidates a ranking of that split
+    can return are scored (the items _excluded_for leaves), and the other
+    entries read -inf; with on None every item is scored. The history is
+    the user's training positives, which no candidate is in. Each block
+    (a slice, or an index array of candidates) is scored by
+    predictors.forward_block (_score_chunk), which matches the instance
+    forward pass up to rounding; predictors.block_rows sizes the blocks
+    for the user's history length, and predictors.fold_history folds the
+    history into the hidden layer once per user. Every block writes its
+    intermediates into one BlockWorkspace, made once per scorer, so they
+    live only until the next block and a scorer is not safe to call from
+    two threads at once; the scores returned are a fresh array per user.
     """
     Q, n_items = params.Q, params.P.shape[0]
     hist_by_user = split.train.items_by_user
@@ -184,10 +186,19 @@ def model_scorer(params: ParameterSet, config: ModelConfig, split: SplitDataset)
     def score(user: int) -> np.ndarray:
         Qh = Q[hist_by_user[user]]
         Wq = fold_history(config, params, Qh, workspace)
-        rows = block_rows(config, Qh.shape[0], n_items)
-        scores = [_score_chunk(config, params, user, slice(lo, lo + rows), Qh, workspace, Wq)
-                  for lo in range(0, n_items, rows)]
-        return scores[0] if len(scores) == 1 else np.concatenate(scores)
+        if on is None:
+            rows = block_rows(config, Qh.shape[0], n_items)
+            blocks = [slice(lo, lo + rows) for lo in range(0, n_items, rows)]
+        else:
+            keep = np.ones(n_items, dtype=bool)
+            keep[_excluded_for(split, on, user)] = False
+            candidates = np.flatnonzero(keep)
+            rows = block_rows(config, Qh.shape[0], candidates.size)
+            blocks = [candidates[lo:lo + rows] for lo in range(0, candidates.size, rows)]
+        scores = np.full(n_items, -np.inf)
+        for items in blocks:
+            scores[items] = _score_chunk(config, params, user, items, Qh, workspace, Wq)
+        return scores
 
     return score
 
@@ -196,12 +207,12 @@ def _score_chunk(
     config: ModelConfig,
     params: ParameterSet,
     user: int,
-    items: slice,
+    items: slice | np.ndarray,
     Qh: np.ndarray,
     workspace: BlockWorkspace,
     Wq: np.ndarray | None,
 ) -> np.ndarray:
-    """Scores of a slice of items for one user with history rows Qh, folded into Wq."""
+    """Scores of a block of items (a slice or index array) for one user, history rows Qh folded into Wq."""
     return forward_block(config, params, user, items, params.P[items], Qh, workspace, Wq).score
 
 
@@ -303,7 +314,7 @@ def _rank_in_child(
     status = 1
     try:
         try:
-            scorer = model_scorer(params, config, split)
+            scorer = model_scorer(params, config, split, on)
             payload = pickle.dumps((True, list(rank_users(scorer, split, on, n, users=users))))
         except BaseException as exc:
             try:
@@ -355,7 +366,7 @@ def evaluate_model(
     users = _eval_users(split, on)
     shares = _shares(split, users, workers) if hasattr(os, "fork") else []
     if len(shares) <= 1:
-        return evaluate(model_scorer(params, config, split), split, on, n)
+        return evaluate(model_scorer(params, config, split, on), split, on, n)
     children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
     try:
         for share in shares[1:]:
@@ -370,7 +381,7 @@ def evaluate_model(
                 _rank_in_child(write_fd, params, config, split, on, n, share)
             os.close(write_fd)
             children[pid] = read_fd
-        scorer = model_scorer(params, config, split)
+        scorer = model_scorer(params, config, split, on)
         results = [list(rank_users(scorer, split, on, n, users=shares[0]))]
         for pid, read_fd in list(children.items()):
             with open(read_fd, "rb", closefd=False) as pipe:

@@ -94,10 +94,10 @@ class ForwardCache:
     weights a kind lacks stay None. The tower head keeps its pooled
     interaction e and its layers' deep_z and deep_u. For a block of
     candidate targets every array has a leading candidate axis and score
-    holds one value per candidate; a block builds no X, and Design 2's
-    block keeps the exps (cols) but no weights A. forward_cache adds the
-    target's and the history's rows of the P/Q table (pq) and their
-    indices.
+    holds one value per candidate; a block builds no X, Design 1's block
+    no row_s, and Design 2's block keeps the exps (cols) but no weights A.
+    forward_cache adds the target's and the history's rows of the P/Q
+    table (pq) and their indices.
     """
 
     config: ModelConfig
@@ -186,10 +186,11 @@ def block_rows(config: ModelConfig, m: int, n_items: int) -> int:
 
     FISM, which sums the history first (O(n d) for n items), and an empty
     history's constant score take all n_items in one block; an attentive
-    kind takes max(1, BLOCK // (m * max(d, d'))).
+    kind takes max(1, BLOCK // (m * max(d, d'))). Never below 1, so a
+    step over no items is still a step.
     """
     if config.model_kind is ModelKind.FISM or m == 0:
-        return n_items
+        return max(1, n_items)
     return max(1, min(n_items, BLOCK // (m * max(config.d, config.d_prime))))
 
 
@@ -323,11 +324,12 @@ def _block_chain(
 
     Every kind pools one c x d term, u_c = sum_j A_cj * q_j, with A its
     weights: the item weights (u = w @ Q_hist), Design 1's w * row
-    softmax, or Design 2's exps, whose pooled sum is divided by
-    denom ** beta once per feature. The sum head is then p . u and the
-    tower reads e = p * u, both equal to the one-target head on
-    X_j = p * q_j. The block's intermediates are c x m x d' (Z, R) and
-    c x m x d (feature logits, exps, weights), all in ws.
+    softmax (one factor w / row sum per row, _row_softmax), or Design 2's
+    exps, whose pooled sum is divided by denom ** beta once per feature.
+    The sum head is then p . u and the tower reads e = p * u, both equal
+    to the one-target head on X_j = p * q_j. The block's intermediates are
+    c x m x d' (Z, R) and c x m x d (feature logits, exps, weights), all
+    in ws.
     """
     cm = (p.shape[0], Q_hist.shape[0])
     cm1, cmd, cmdp = cm + (1,), cm + (Q_hist.shape[1],), cm + (params.W.shape[0],)
@@ -345,10 +347,10 @@ def _block_chain(
         out = (ws.take("item_exp", cm1), ws.take("item_weights", cm1))
         cache.item = _smoothed_parts(cache.item_logits, config.beta, out)
     if config.feature_attention:
-        cache.a_hat = np.matmul(cache.R, params.H, out=ws.take("a_hat", cmd))
+        cache.a_hat = ws.take("a_hat", cmd)  # one GEMM, faster than c batched ones at small m
+        np.matmul(cache.R.reshape(-1, cmdp[-1]), params.H, out=cache.a_hat.reshape(-1, cmd[-1]))
         if config.item_attention:
-            cache.row_s = _row_softmax(cache.a_hat, ws.take("row_s", cmd))
-            cache.A = np.multiply(cache.item.weights, cache.row_s, out=ws.take("A", cmd))
+            cache.A = _row_softmax(cache.a_hat, ws.take("A", cmd), cache.item.weights)
             pooled = np.einsum("cjt,jt->ct", cache.A, Q_hist)
         else:
             out = (ws.take("col_exp", cmd), None)

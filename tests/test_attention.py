@@ -11,7 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flaicf.attention import (
+    LOGIT_CLAMP,
+    ROW_LOGIT_BOUND,
     AttentionOutput,
+    NonFiniteError,
+    _row_softmax,
     _smoothed_parts,
     design1_weights,
     design2_weights,
@@ -19,6 +23,7 @@ from flaicf.attention import (
     smoothed_softmax,
 )
 from flaicf.config import AttentionMode, Design, ModelConfig, ModelKind
+from flaicf.gradients import _smoothed_vjp
 from flaicf.params import ParameterSet
 from flaicf.predictors import PredictionContext, attention_for, forward_block
 from tests.conftest import random_params
@@ -360,3 +365,128 @@ def test_weights_nonnegative_and_shaped():
                 assert out.item_weights.shape == out.item_logits.shape == (m,)
             assert np.all(out.feature_weights >= 0)
             assert np.all(np.isfinite(out.feature_weights))
+
+
+# ------------------------------------------------------------ bound guards
+#
+# The softmaxes skip their per-element passes when one bound check on the
+# logits passes. These copies of the unguarded functions are the oracles:
+# inside the bounds the guarded results must equal them (the smoothed
+# softmax bitwise, Design 1's block weights to rounding), and outside
+# them the fallback must give their results bitwise, or raise as they do.
+
+
+def reference_smoothed_parts(logits, beta, weights=True):
+    """_smoothed_parts without its bound check: (weights, exp, denom)."""
+    if not np.isfinite(logits).all():
+        raise NonFiniteError("logits must be finite")
+    e = logits.clip(-LOGIT_CLAMP, LOGIT_CLAMP)
+    np.exp(e, out=e)
+    denom = e.sum(axis=-2) if weights else np.einsum("...jk->...k", e)
+    w = np.divide(e, denom[..., None, :] ** beta) if weights else None
+    return w, e, denom
+
+
+def reference_vjp(logits, beta, dw):
+    """_smoothed_vjp of the reference parts, masked where the clamp is active."""
+    w, e, denom = reference_smoothed_parts(logits, beta)
+    wdw = w * dw
+    pull = beta * (e / denom) * wdw.sum(axis=0)
+    return (wdw - pull) * (np.abs(logits) < LOGIT_CLAMP)
+
+
+def reference_block_row_weights(a_hat, item_weights):
+    """A block's Design 1 weights before the guard: w * the shifted row softmax."""
+    shifted = np.subtract(a_hat, a_hat.max(axis=-1, keepdims=True))
+    np.exp(shifted, out=shifted)
+    row_s = np.divide(shifted, shifted.sum(axis=-1, keepdims=True), out=shifted)
+    return np.multiply(item_weights, row_s)
+
+
+def assert_smoothed_parts_match(logits, beta, clamped):
+    for weights in (True, False):
+        parts = _smoothed_parts(logits, beta, weights=weights)
+        w, e, denom = reference_smoothed_parts(logits, beta, weights)
+        assert parts.clamped is clamped
+        assert np.array_equal(parts.exp, e) and np.array_equal(parts.denom, denom)
+        assert w is None and parts.weights is None or np.array_equal(parts.weights, w)
+    assert bool(parts.grad_mask.all()) is not clamped
+
+
+@pytest.mark.parametrize("k", [1, 8], ids=["item", "feature"])
+@pytest.mark.parametrize("beta", [0.5, 0.7, 1.0])
+def test_smoothed_parts_inside_the_clamp_equal_the_unguarded_ones_bitwise(k, beta):
+    rng = np.random.default_rng(60)
+    for scale in (0.3, 3.0, 9.0):
+        logits = np.clip(rng.normal(0.0, scale, size=(13, 11, k)), -29.99, 29.99)
+        assert_smoothed_parts_match(logits, beta, clamped=False)
+        one = logits[0]
+        dw = rng.normal(size=one.shape)
+        parts = _smoothed_parts(one, beta)
+        assert np.array_equal(_smoothed_vjp(parts, dw, beta), reference_vjp(one, beta, dw))
+
+
+@pytest.mark.parametrize("edge", [LOGIT_CLAMP, -LOGIT_CLAMP, 45.0, -45.0, 1e300],
+                         ids=["at+30", "at-30", "beyond+30", "beyond-30", "huge"])
+@pytest.mark.parametrize("k", [1, 8], ids=["item", "feature"])
+def test_smoothed_parts_at_or_past_the_clamp_fall_back_bitwise(edge, k):
+    rng = np.random.default_rng(61)
+    logits = rng.normal(0.0, 3.0, size=(7, 9, k))
+    logits[3, 4, k - 1] = edge
+    assert_smoothed_parts_match(logits, 0.7, clamped=True)
+    one = logits[3]
+    dw = rng.normal(size=one.shape)
+    parts = _smoothed_parts(one, 0.7)
+    vjp = _smoothed_vjp(parts, dw, 0.7)
+    assert vjp[4, k - 1] == 0.0  # the clamped logit passes no gradient
+    assert np.array_equal(vjp, reference_vjp(one, 0.7, dw))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_smoothed_parts_of_a_nonfinite_logit_raise_as_unguarded(bad):
+    logits = np.zeros((5, 6, 2))
+    logits[2, 3, 1] = bad
+    with pytest.raises(NonFiniteError):
+        reference_smoothed_parts(logits, 0.7)
+    with pytest.raises(NonFiniteError):
+        _smoothed_parts(logits, 0.7)
+
+
+def block_row_inputs(seed, scale, c=9, m=14, d=16):
+    rng = np.random.default_rng(seed)
+    return rng.normal(0.0, scale, size=(c, m, d)), rng.uniform(0.01, 3.0, size=(c, m, 1))
+
+
+@pytest.mark.parametrize("scale", [0.3, 3.0, 10.0])
+def test_block_row_weights_inside_the_bound_match_the_shifted_ones(scale):
+    a_hat, w = block_row_inputs(62, scale)
+    assert np.abs(a_hat).max() < ROW_LOGIT_BOUND
+    A = _row_softmax(a_hat, np.empty_like(a_hat), w)
+    ref = reference_block_row_weights(a_hat, w)
+    # each row sums to its item weight w; the shift moves only the rounding
+    assert np.all(np.abs(A - ref) <= 1e-15 * w)
+    np.testing.assert_allclose(A.sum(axis=-1, keepdims=True), w, rtol=1e-14)
+
+
+@pytest.mark.parametrize("edge", [ROW_LOGIT_BOUND, -ROW_LOGIT_BOUND, 700.0, -800.0, np.nan,
+                                  np.inf, -np.inf],
+                         ids=["at+bound", "at-bound", "+700", "-800", "nan", "inf", "-inf"])
+def test_block_row_weights_past_the_bound_fall_back_bitwise(edge):
+    a_hat, w = block_row_inputs(63, 3.0)
+    # the guarded weights of these logits differ from the shifted ones, so
+    # bitwise equality below shows that the row max was taken
+    inside = _row_softmax(a_hat, np.empty_like(a_hat), w)
+    assert not np.array_equal(inside, reference_block_row_weights(a_hat, w))
+    a_hat[4, 5, 6] = edge
+    with np.errstate(invalid="ignore"):
+        A = _row_softmax(a_hat, np.empty_like(a_hat), w)
+        ref = reference_block_row_weights(a_hat, w)
+    np.testing.assert_array_equal(A, ref)
+
+
+def test_one_target_row_softmax_keeps_the_row_max():
+    a_hat, _ = block_row_inputs(64, 3.0, c=1)
+    a_hat = a_hat[0]
+    shifted = np.exp(a_hat - a_hat.max(axis=-1, keepdims=True))
+    assert np.array_equal(_row_softmax(a_hat), shifted / shifted.sum(axis=-1, keepdims=True))
+    assert np.array_equal(normalize_features(a_hat[0]), _row_softmax(a_hat)[0])

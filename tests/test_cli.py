@@ -177,6 +177,18 @@ def test_an_empty_sweep_list_is_a_usage_error(argv, tmp_path, capsys, monkeypatc
     assert not any(tmp_path.iterdir())  # nothing ran
 
 
+@pytest.mark.parametrize("argv", [
+    ["--split", "train", "--checkpoint", "x"],
+    ["--split", "test"],
+], ids=["split", "checkpoint"])
+def test_evaluate_checks_its_flags_before_reading_the_split(argv, tmp_path, capsys):
+    code = main(["evaluate", "--data_dir", str(tmp_path / "missing"), *argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: category=usage" in err
+    assert "user_vocab" not in err  # no file was read
+
+
 def test_unknown_config_key_rejected(prepared, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("modle=NAIS\n")

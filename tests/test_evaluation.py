@@ -344,6 +344,75 @@ def test_blocked_scorer_matches_one_block(cfg):
         np.testing.assert_array_equal(top(blocked), top(whole))
 
 
+@pytest.mark.parametrize("on", ["valid", "test"])
+@pytest.mark.parametrize("cfg", SCORER_CONFIGS, ids=config_id)
+def test_candidate_scores_equal_full_scores(cfg, on):
+    # not bitwise: BLAS rounds a product's row differently with the number
+    # of rows and the row's place among them (a one-row product is a
+    # matrix-vector one), and the candidates' blocks are not the catalogue's
+    split = long_history_split()
+    params = random_params(cfg, 400, 6, seed=49, scale=0.3)
+    full = model_scorer(params, cfg, split)
+    only = model_scorer(params, cfg, split, on=on)
+    for user in range(6):
+        excluded = np.unique(evaluation._excluded_for(split, on, user))
+        assert excluded.size > split.train.items_by_user[user].size or on == "valid"
+        scores = only(user)
+        assert scores.shape == (400,)
+        np.testing.assert_array_equal(np.flatnonzero(scores == -np.inf), excluded)
+        keep = np.ones(400, dtype=bool)
+        keep[excluded] = False
+        np.testing.assert_allclose(scores[keep], full(user)[keep], rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(rank_items(only, user, excluded, 10),
+                                      rank_items(full, user, excluded, 10))
+
+
+@pytest.mark.parametrize("cfg", SCORER_CONFIGS[:2], ids=config_id)
+def test_a_scorer_with_a_split_scores_each_candidate_once(cfg, monkeypatch):
+    split = long_history_split()
+    params = random_params(cfg, 400, 6, seed=50, scale=0.3)
+    blocks = []
+    original = evaluation._score_chunk
+    monkeypatch.setattr(evaluation, "_score_chunk", lambda *args: blocks.append(args[3]) or original(*args))
+    scorer = model_scorer(params, cfg, split, on="test")
+    for user in range(6):
+        blocks.clear()
+        scorer(user)
+        keep = np.ones(400, dtype=bool)
+        keep[evaluation._excluded_for(split, "test", user)] = False
+        np.testing.assert_array_equal(np.concatenate(blocks), np.flatnonzero(keep))
+
+
+def test_a_user_with_no_candidate_scores_nothing():
+    every = np.arange(6)
+    parts = [make_dataset({0: items, 1: [0]}, 6) for items in (every, [], [])]
+    split = evaluation.SplitDataset(*parts, ratios=(1.0, 0.0, 0.0), seed=0)
+    for cfg in SCORER_CONFIGS:
+        params = random_params(cfg, 6, 2, seed=51)
+        for on in ("valid", "test"):
+            np.testing.assert_array_equal(model_scorer(params, cfg, split, on)(0), np.full(6, -np.inf))
+
+
+@pytest.mark.parametrize("on", ["valid", "test"])
+def test_candidate_ranking_gives_the_full_rankings_metrics_with_any_worker_count(on, monkeypatch):
+    split = long_history_split()
+    real_scorer = evaluation.model_scorer
+
+    def candidates_only(params, config, split, on=None):
+        # raised in a forked child too, and sent back to this process
+        assert on is not None, "evaluate_model scored the whole catalogue"
+        return real_scorer(params, config, split, on)
+
+    for cfg in SCORER_CONFIGS:
+        params = random_params(cfg, 400, 6, seed=52, scale=0.3)
+        full = evaluate(real_scorer(params, cfg, split), split, on, n=10)
+        monkeypatch.setattr(evaluation, "model_scorer", candidates_only)
+        for workers in (1, 2, 3):
+            record = evaluate_model(params, cfg, split, on, n=10, workers=workers)
+            assert_no_child_left()
+            assert record == full, (config_id(cfg), workers)
+
+
 @pytest.mark.parametrize("cfg", SCORER_CONFIGS, ids=config_id)
 def test_scores_never_alias_the_workspace(cfg):
     split = long_history_split()
