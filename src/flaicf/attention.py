@@ -17,7 +17,7 @@ The smoothed softmax is not shift invariant when beta != 1, so its logits
 are clamped to [-30, 30] instead of max-subtracted; exp stays finite in
 double precision over that range. When every logit lies strictly inside
 the clamp (one min and one max; a NaN fails), exp reads the logits
-directly and no gradient is masked; otherwise they are checked for
+directly and grad_mask is all True; otherwise they are checked for
 finiteness (NonFiniteError) and clipped. Design 1's per-item feature
 softmax is shift invariant and subtracts each row's max, except in a
 ranking block whose logits all lie within ±ROW_LOGIT_BOUND: there it
@@ -60,15 +60,13 @@ class SmoothedSoftmax:
 
     weights, exp and logits are shaped (..., m, k); denom, the sum of the
     exps over the history, is (..., k). weights is None where the caller
-    divides by denom ** beta itself (_smoothed_parts). clamped is False
-    when no logit reached the clamp (grad_mask all True).
+    divides by denom ** beta itself (_smoothed_parts).
     """
 
     weights: np.ndarray | None
     exp: np.ndarray
     denom: np.ndarray
     logits: np.ndarray
-    clamped: bool = True
 
     @property
     def grad_mask(self) -> np.ndarray:
@@ -116,7 +114,7 @@ def _smoothed_parts(
     e = np.exp(e, out=e if clamped else out[0])
     denom = e.sum(axis=-2) if weights else np.einsum("...jk->...k", e)
     w = np.divide(e, denom[..., None, :] ** beta, out=out[1]) if weights else None
-    return SmoothedSoftmax(weights=w, exp=e, denom=denom, logits=logits, clamped=clamped)
+    return SmoothedSoftmax(weights=w, exp=e, denom=denom, logits=logits)
 
 
 # Design 2's column softmax, under its own name so a tracer that wraps

@@ -79,7 +79,7 @@ def _smoothed_vjp(parts: SmoothedSoftmax, dw: np.ndarray, beta: float) -> np.nda
     """Backward of a smoothed softmax over the history (first) axis, per column."""
     wdw = parts.weights * dw
     pull = beta * (parts.exp / parts.denom) * wdw.sum(axis=0)
-    return (wdw - pull) * parts.grad_mask if parts.clamped else wdw - pull
+    return (wdw - pull) * parts.grad_mask
 
 
 def _row_softmax_vjp(s: np.ndarray, ds: np.ndarray) -> np.ndarray:

@@ -247,7 +247,7 @@ def forward_block(
     config: ModelConfig,
     params: ParameterSet,
     user: int,
-    target: int | slice,
+    target: int | slice | np.ndarray,
     p: np.ndarray,
     Q_hist: np.ndarray,
     workspace: BlockWorkspace | None = None,
@@ -256,12 +256,12 @@ def forward_block(
     """Forward pass of config's kind for one user: one target, or a block of them.
 
     target is the target item (an int) with p its row of P (d), or a
-    slice of c candidate items with p their rows (c x d); Q_hist holds the
-    history's rows of Q (m x d). The deep family adds the user's and the
-    target's bias. An empty history (m = 0) gives the kind's constant
-    fallback. Training runs one target (forward_cache) and ranking a block
-    of items (_block_chain); a candidate's score in a block equals its
-    one-target score up to rounding.
+    slice or index array of c candidate items with p their rows (c x d);
+    Q_hist holds the history's rows of Q (m x d). The deep family adds the
+    user's and the target's bias. An empty history (m = 0) gives the
+    kind's constant fallback. Training runs one target (forward_cache)
+    and ranking a block of items (_block_chain); a candidate's score in a
+    block equals its one-target score up to rounding.
 
     For a block, Wq is the user's fold_history (built here when not
     given), and with a workspace every candidate x history intermediate
