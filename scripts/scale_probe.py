@@ -18,7 +18,12 @@ with bench/generate.py (6040 users, 3706 items, a 5-core of about 868k
 pairs inside 1.05M lines, generator seed 1, fixed whatever --seed is) to
 a temporary directory, then times `flaicf prepare --k_user 5 --k_item 5`
 of it and `data.load_split` of the result, --reps times each, and reports
-their medians in milliseconds.
+their medians in milliseconds. It also runs that `prepare` once in a fresh
+Python process and reports how far it raised the process's peak resident
+set, in MB: the peak after it minus the peak before it, with the imports
+done. The peak is read as VmHWM from /proc/self/status (Linux), because
+an exec'd child's `ru_maxrss` starts at its parent's peak, which here is
+already that of several `prepare` runs.
 
 Nothing is trained and nothing is kept but BENCH_scale_<label>.json at
 the root of the checkout, which also holds the commit and the machine
@@ -92,9 +97,38 @@ def random_parameters(config: ModelConfig, users: int, seed: int):
     return params
 
 
+# Run in a fresh interpreter: flaicf prepare with the given arguments, then
+# print the MB by which it raised the peak resident set.
+PEAK_RSS_PROGRAM = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from flaicf.cli import main
+
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+before = peak_kb()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[2:])
+print((peak_kb() - before) / 1024)
+sys.exit(code)
+"""
+
+
+def prepare_peak_rss_mb(argv: list[str]) -> float:
+    """MB by which `flaicf prepare` raises the peak RSS of a fresh process."""
+    done = subprocess.run([sys.executable, "-c", PEAK_RSS_PROGRAM, str(ROOT / "src"), *argv],
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"flaicf prepare exited with {done.returncode}: {done.stderr.strip()}")
+    return float(done.stdout.split()[-1])
+
+
 def time_prepare(reps: int) -> dict:
-    """Medians of reps `flaicf prepare` calls on the ML-1M-shaped raw file,
-    and of reps `load_split` calls on their output."""
+    """Medians of reps `flaicf prepare` calls on the ML-1M-shaped raw file
+    and of reps `load_split` calls on their output, and the peak RSS that
+    one more `prepare` adds in a fresh process."""
     with tempfile.TemporaryDirectory(prefix="scale_probe_") as tmp:
         gen = generate(ML1M_SHAPE, ML1M_SEED, Path(tmp))
         out = Path(tmp) / "prepared"
@@ -111,6 +145,7 @@ def time_prepare(reps: int) -> dict:
             start = time.perf_counter()
             split = load_split(out)
             load_s.append(time.perf_counter() - start)
+        peak_rss_mb = prepare_peak_rss_mb(argv)
     pairs = sum(part.interaction_count for part in (split.train, split.valid, split.test))
     core = (gen.core_users, gen.core_items, gen.core_interactions)
     if (split.train.user_count, split.train.item_count, pairs) != core:
@@ -124,6 +159,7 @@ def time_prepare(reps: int) -> dict:
         "statistic": "median of reps",
         "prepare_ms": 1e3 * statistics.median(prepare_s),
         "load_split_ms": 1e3 * statistics.median(load_s),
+        "prepare_peak_rss_mb": peak_rss_mb,
     }
 
 
@@ -150,7 +186,8 @@ def main(argv=None) -> int:
 
     started = time.perf_counter()
     prepare = time_prepare(args.reps)
-    print(f"prepare {prepare['raw_lines']} lines {prepare['prepare_ms']:8.1f} ms, "
+    print(f"prepare {prepare['raw_lines']} lines {prepare['prepare_ms']:8.1f} ms "
+          f"(peak RSS +{prepare['prepare_peak_rss_mb']:.1f} MB), "
           f"load_split {prepare['load_split_ms']:7.1f} ms", flush=True)
     rng = np.random.default_rng(args.seed)
     splits = {m: history_split(m, args.users, rng) for m in HISTORIES}

@@ -13,11 +13,17 @@ are not skipped; strip them before parsing. Files are read as UTF-8 with
 universal newlines, so "\r\n" and a lone "\r" both end a line; a
 byte-order mark at the start of a raw file is dropped, not read as part
 of the first user id.
+
+A raw file is parsed in one numpy pass over its bytes, with no Python
+object per line: the whole file is checked as UTF-8 before any line is,
+line ends and delimiters are found by position, and each id column is
+numbered by sorting one uint64 key per line. Only the distinct ids
+become str.
 """
 
 from __future__ import annotations
 
-import math
+import codecs
 import os
 import warnings
 from contextlib import contextmanager
@@ -90,50 +96,161 @@ def _group_by_user(users: np.ndarray, items: np.ndarray, user_count: int) -> lis
     return [items[start:end] for start, end in zip([0, *ends], ends)]
 
 
-def _dense_ids(raw: list[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct raw ids in first-appearance order, and each entry's index."""
-    index: dict[str, int] = {}
-    dense = np.fromiter((index.setdefault(r, len(index)) for r in raw),
-                        dtype=np.int64, count=len(raw))
-    return list(index), dense
+# LOW_BYTES[r] keeps the low r bytes of a little-endian uint64 word.
+LOW_BYTES = np.array([(1 << 8 * r) - 1 for r in range(8)], dtype=np.uint64)
+# Bytes compared per numpy call when a file is scanned for line ends and
+# delimiters, so that the boolean temporaries stay small.
+SCAN_BLOCK = 1 << 18
 
 
 def parse_interactions(path, fmt: str = "MOVIELENS_DAT") -> InteractionDataset:
     """Parse a raw interaction file into a dense-indexed dataset.
 
-    The user is a line's first field and the item its second.
-    Duplicate (user, item) pairs are collapsed to the first occurrence.
-    A line with too few fields raises DataFormatError naming the line.
+    The user is a line's first field and the item its second. Duplicate
+    (user, item) pairs are collapsed to the first occurrence. A file that
+    is not UTF-8 raises DataFormatError naming the file; this check runs
+    first, so it wins over any malformed line. Otherwise a line with too
+    few fields raises DataFormatError naming the first such line.
+
+    The file is read once as bytes and parsed with numpy, with no Python
+    object per line: line ends and delimiters are found by position, and
+    each id column is numbered by sorting one uint64 key per line (see
+    `_field_keys`). Only the distinct ids are decoded to str.
     """
     fmt = fmt.upper()
     try:
         delimiter = FORMAT_DELIMITERS[fmt]
     except KeyError:
         raise DataFormatError(f"unknown format {fmt!r}; expected one of {sorted(FORMAT_DELIMITERS)}")
-    raw_users: list[str] = []
-    raw_items: list[str] = []
-    with _utf8(path, "utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split(delimiter, 2)
-            if len(fields) < 2:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected at least 2 fields separated by "
-                    f"{delimiter!r}, got {len(fields)}"
-                )
-            raw_users.append(fields[0])
-            raw_items.append(fields[1])
-    if not raw_users:
-        raise EmptyDatasetError(f"{path} holds no interactions")
-    user_ids, users = _dense_ids(raw_users)
-    item_ids, items = _dense_ids(raw_items)
+    (user_blob, users), (item_blob, items) = _id_columns(path, delimiter)
+    user_ids = user_blob.decode("utf-8").split("\n")
+    item_ids = item_blob.decode("utf-8").split("\n")
     return InteractionDataset(
         user_ids=user_ids,
         item_ids=item_ids,
         items_by_user=_group_by_user(users, items, len(user_ids)),
     )
+
+
+def _id_columns(path, delimiter: str) -> list[tuple[bytes, np.ndarray]]:
+    """The user and the item column of a raw file, each as its distinct ids
+    in first-appearance order, joined by "\n", and each line's index among
+    them."""
+    with open(path, "rb") as fh:
+        text = fh.read()
+    if not text.isascii():
+        try:
+            text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    if b"\r" in text:
+        text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    b = np.frombuffer(text, dtype=np.uint8)[3 if text.startswith(codecs.BOM_UTF8) else 0:]
+    sep = delimiter.encode()
+    # Both end in b.size: the end of a last line with no "\n" (else an empty
+    # line, which is skipped), and a delimiter position past every line.
+    ends = _offsets(b, b"\n")
+    hits = _offsets(b, sep)
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    user_ends = hits[np.searchsorted(hits, starts)]
+    bad = (user_ends >= ends) & (ends > starts)
+    if bad.any():
+        raise DataFormatError(
+            f"{path}:{int(bad.argmax()) + 1}: expected at least 2 fields separated by "
+            f"{delimiter!r}, got 1"
+        )
+    nonempty = ends > starts
+    if not nonempty.all():
+        starts, ends, user_ends = starts[nonempty], ends[nonempty], user_ends[nonempty]
+    if not starts.size:
+        raise EmptyDatasetError(f"{path} holds no interactions")
+    item_starts = user_ends + len(sep)
+    item_lengths = np.minimum(hits[np.searchsorted(hits, item_starts)], ends) - item_starts
+    del hits, ends
+    users = _dense_ids(b, starts, user_ends - starts)
+    del starts, user_ends
+    return [users, _dense_ids(b, item_starts, item_lengths)]
+
+
+def _offsets(b: np.ndarray, pattern: bytes) -> np.ndarray:
+    """Every offset at which pattern starts in b, ascending, then b.size."""
+    last = b.size - len(pattern) + 1  # no match starts at or past this
+    found = []
+    for lo in range(0, last, SCAN_BLOCK):
+        hi = min(lo + SCAN_BLOCK, last)
+        at = b[lo:hi] == pattern[0]
+        for k in range(1, len(pattern)):
+            at &= b[lo + k:hi + k] == pattern[k]
+        found.append(np.flatnonzero(at) + lo)
+    return np.concatenate([*found, [b.size]])
+
+
+def _dense_ids(b: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+               ) -> tuple[bytes, np.ndarray]:
+    """The distinct fields b[s:s + l] in first-appearance order, joined by
+    "\n", and each field's index among them."""
+    keys = _field_keys(b, starts, lengths)
+    order = np.argsort(keys)
+    keys = keys[order]
+    head = np.empty(keys.size, dtype=bool)
+    head[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    del keys
+    first = np.minimum.reduceat(order, np.flatnonzero(head))  # each distinct field's first line
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    dense = np.empty_like(order)
+    dense[order] = rank[np.cumsum(head) - 1]
+    lines = first[by_first]
+    return _joined(b, starts[lines], lengths[lines]), dense
+
+
+def _field_keys(b: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """One uint64 per field b[s:s + l], equal for two fields exactly when
+    their bytes are.
+
+    Word j of a field holds its bytes 7j to 7j + 6, zero-padded, and in its
+    top byte how many of its bytes lie at 7j or later, capped at 8; so the
+    words spell out the bytes and the length. When no field is longer than
+    7 bytes, word 0 is the key. Longer fields fold in one word at a time,
+    each (key, word) pair renumbered densely with np.unique.
+    """
+    if b.size < 8:  # too short to read one word from
+        b = np.append(b, np.zeros(8, dtype=np.uint8))
+    # Element p of `words` is the little-endian uint64 at byte offset p. A
+    # word that would run past the end is read 8 bytes before it and shifted.
+    words = np.ndarray((b.size - 7,), dtype="<u8", buffer=b, strides=(1,))
+    keys = None
+    for offset in range(0, max(int(lengths.max()), 1), 7):
+        at = starts + offset
+        read = np.minimum(at, b.size - 8)
+        word = words[read] >> (8 * (at - read)).astype(np.uint64)
+        rest = np.clip(lengths - offset, 0, 8).astype(np.uint64)
+        word &= LOW_BYTES[np.minimum(rest, 7)]
+        word |= rest << np.uint64(56)
+        if keys is None:
+            keys = word
+        else:
+            _, high = np.unique(keys, return_inverse=True)
+            distinct, low = np.unique(word, return_inverse=True)
+            keys = high.astype(np.uint64) * np.uint64(distinct.size) + low.astype(np.uint64)
+    return keys
+
+
+def _joined(b: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> bytes:
+    """The fields b[s:s + l] joined by "\n", with one gather."""
+    ends = np.cumsum(lengths + 1)  # each field and the "\n" after it
+    # Byte k of the result comes from offset idx[k]: one more than byte k - 1,
+    # except at each field's first byte, which jumps to its start.
+    idx = np.ones(ends[-1], dtype=np.int64)
+    idx[0] = starts[0]
+    idx[ends[:-1]] = starts[1:] - starts[:-1] - lengths[:-1]
+    np.cumsum(idx, out=idx)
+    blob = np.take(b, idx, mode="clip")
+    blob[ends - 1] = ord("\n")
+    return blob[:-1].tobytes()
 
 
 def k_core_filter(dataset: InteractionDataset, k_user: int, k_item: int) -> InteractionDataset:
@@ -197,23 +314,38 @@ def split_per_user(
     Users with fewer than three interactions keep one item in train and
     put the rest in test; validation may be empty. Every user retains at
     least one training item.
+
+    Users are shuffled in order, each by one rng.shuffle of its own slice,
+    which draws what rng.permutation(n) would; the cuts and the sorting
+    of each part run over all users at once.
     """
     if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"ratios must be three nonnegative values summing to 1, got {ratios}")
     rng = np.random.default_rng(seed)
-    tr, va, te = [], [], []
-    for items in dataset.items_by_user:
-        n = items.size
-        shuffled = items[rng.permutation(n)]
-        if n < 3:
-            c1, c2 = 1, 1
-        else:
-            c1 = max(1, int(math.floor(ratios[0] * n + 0.5)))
-            c2 = max(c1, int(math.floor((ratios[0] + ratios[1]) * n + 0.5)))
-            c2 = min(c2, n)
-        tr.append(np.sort(shuffled[:c1]))
-        va.append(np.sort(shuffled[c1:c2]))
-        te.append(np.sort(shuffled[c2:]))
+    user_count = len(dataset.items_by_user)
+    sizes = np.fromiter(map(len, dataset.items_by_user), dtype=np.int64, count=user_count)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    items = np.concatenate([np.empty(0, dtype=np.int64), *dataset.items_by_user])
+    for start, end in zip(starts.tolist(), ends.tolist()):
+        rng.shuffle(items[start:end])
+    # The cut points of math.floor(x + 0.5), in the same float64 arithmetic.
+    # A cut past a user's last item cuts nothing, so c2 needs no cap at n.
+    c1 = np.maximum(np.floor(ratios[0] * sizes + 0.5), 1).astype(np.int64)
+    c2 = np.maximum(np.floor((ratios[0] + ratios[1]) * sizes + 0.5), c1).astype(np.int64)
+    c1[sizes < 3] = 1
+    c2[sizes < 3] = 1
+    # Group 3u + 0, 1 or 2 (train, valid, test) of each shuffled position,
+    # then one sort by (group, item).
+    position = np.arange(items.size)
+    group = np.repeat(np.arange(0, 3 * user_count, 3), sizes)
+    group += position >= np.repeat(starts + c1, sizes)
+    group += position >= np.repeat(starts + c2, sizes)
+    bits = int(items.max()).bit_length() if items.size else 0
+    items = np.sort(group << bits | items) & ((1 << bits) - 1)
+    bounds = [0, *np.cumsum(np.bincount(group, minlength=3 * user_count)).tolist()]
+    tr, va, te = ([items[a:b] for a, b in zip(bounds[part::3], bounds[part + 1::3])]
+                  for part in range(3))
     return SplitDataset(
         train=_view(dataset, tr),
         valid=_view(dataset, va),
@@ -360,11 +492,11 @@ def _read_pairs_by_line(path, user_count: int, item_count: int) -> tuple[np.ndar
 
 
 @contextmanager
-def _utf8(path, encoding: str = "utf-8"):
-    """path opened as text in encoding, utf-8 or utf-8-sig; bytes that are not
-    UTF-8 are a DataFormatError naming it."""
+def _utf8(path):
+    """path opened as UTF-8 text; bytes that are not UTF-8 are a
+    DataFormatError naming it."""
     try:
-        with open(path, "r", encoding=encoding) as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc

@@ -1,5 +1,6 @@
 """Parsing, k-core filtering, per-user splitting, and split persistence."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -313,6 +314,23 @@ def _reference_grouping(users, items, user_count):
     return np.split(items, np.cumsum(np.bincount(users, minlength=user_count)))[:-1]
 
 
+def _reference_split(dataset, ratios, seed):
+    rng = np.random.default_rng(seed)
+    parts = ([], [], [])
+    for items in dataset.items_by_user:
+        n = items.size
+        shuffled = items[rng.permutation(n)]
+        if n < 3:
+            c1, c2 = 1, 1
+        else:
+            c1 = max(1, int(math.floor(ratios[0] * n + 0.5)))
+            c2 = max(c1, int(math.floor((ratios[0] + ratios[1]) * n + 0.5)))
+            c2 = min(c2, n)
+        for part, piece in zip(parts, (shuffled[:c1], shuffled[c1:c2], shuffled[c2:])):
+            part.append(np.sort(piece))
+    return parts
+
+
 def _reference_pair_bytes(view):
     return "".join(f"{u}\t{i}\n" for u, i in view.pairs()).encode("utf-8")
 
@@ -368,6 +386,112 @@ def test_a_leading_byte_order_mark_is_not_part_of_the_first_user(tmp_path):
     ds = parse_interactions(path, "MOVIELENS_DAT")
     assert ds.user_ids == ["u1"]
     assert ds.items_by_user[0].tolist() == [0, 1]
+
+
+# Ids the byte-level parser could get wrong: one to three uint64 words long,
+# multi-byte UTF-8, byte prefixes of one another, trailing NUL bytes and
+# spaces, the empty id, and the other formats' delimiters.
+ADVERSARIAL_IDS = [
+    "", "a", "ab", "abcdefg", "abcdefgh", "abcdefghijklmn", "abcdefghijklmno",
+    "abcdefghijklmnopqrst", "a\0", "a\0\0", "\0", "\0\0\0\0\0\0\0\0", "a ", "a  ", " a",
+    "ü", "üü", "日本", "日本語", "0", "00", "0000000", "00000000", "a:b", "a,b", "a\tb",
+    "\x0b", "\x0c", "\x1c", "\x85", " ",
+]
+# Whitespace-only lines: each holds no "::" or ",", and only some a tab.
+BLANK_LINES = [" ", "   ", "\t", " \t ", "\x0b", "　"]
+
+
+def _adversarial_raw_file(rng, path, fmt, blank_lines, final_newline):
+    """Lines over ADVERSARIAL_IDS and random ids of 1-20 bytes, with empty
+    user or item fields, delimiter runs and, if asked, whitespace-only lines."""
+    delimiter = data.FORMAT_DELIMITERS[fmt]
+    alphabet = ["a", "b", "\0", " ", "ü", "日"]
+    pool = list(ADVERSARIAL_IDS)
+    for _ in range(40):
+        target, word = int(rng.integers(1, 21)), ""
+        while len(word.encode("utf-8")) < target:
+            word += alphabet[int(rng.integers(len(alphabet)))]
+        pool.append(word)
+    lines = []
+    for _ in range(int(rng.integers(50, 300))):
+        kind = rng.random()
+        if kind < 0.05:
+            lines.append(delimiter * int(rng.integers(1, 4)))  # a run: empty user and item
+        elif kind < 0.1:
+            lines.append("")
+        elif blank_lines and kind < 0.12:
+            lines.append(BLANK_LINES[int(rng.integers(len(BLANK_LINES)))])
+        else:
+            fields = [pool[int(rng.integers(len(pool)))] for _ in range(int(rng.integers(2, 5)))]
+            joins = [delimiter * (2 if rng.random() < 0.1 else 1) for _ in fields[1:]]
+            lines.append(fields[0] + "".join(j + f for j, f in zip(joins, fields[1:])))
+    text = "\n".join(lines) + ("\n" if final_newline else "")
+    path.write_bytes(text.encode("utf-8"))
+    return str(path)
+
+
+@pytest.mark.parametrize("final_newline", [True, False])
+@pytest.mark.parametrize("blank_lines", [False, True])
+@pytest.mark.parametrize("fmt", ["MOVIELENS_DAT", "CSV", "TSV"])
+@pytest.mark.parametrize("seed", range(4))
+def test_parse_matches_the_reference_on_adversarial_ids(tmp_path, seed, fmt, blank_lines,
+                                                        final_newline):
+    rng = np.random.default_rng([seed, len(fmt), blank_lines, final_newline])
+    path = _adversarial_raw_file(rng, tmp_path / "raw.txt", fmt, blank_lines, final_newline)
+    try:
+        want = _reference_parse(path, fmt)
+    except DataFormatError as exc:
+        with pytest.raises(DataFormatError) as got:
+            parse_interactions(path, fmt)
+        assert str(got.value) == str(exc)
+        return
+    ds = parse_interactions(path, fmt)
+    assert (ds.user_ids, ds.item_ids) == want[:2]
+    _assert_same_groups(ds.items_by_user, want[2])
+
+
+def test_adversarial_files_reach_both_outcomes(tmp_path):
+    """The test above checks errors and datasets alike, and numbers ids of
+    every word count and of multi-byte UTF-8."""
+    outcomes, ids = set(), set()
+    for seed in range(4):
+        for fmt in data.FORMAT_DELIMITERS:
+            for blank_lines in (False, True):
+                rng = np.random.default_rng([seed, len(fmt), blank_lines, True])
+                path = _adversarial_raw_file(rng, tmp_path / "raw.txt", fmt, blank_lines, True)
+                try:
+                    ds = parse_interactions(path, fmt)
+                except DataFormatError:
+                    outcomes.add("error")
+                else:
+                    outcomes.add("dataset")
+                    ids.update(ds.user_ids + ds.item_ids)
+    assert outcomes == {"error", "dataset"}
+    byte_lengths = {len(i.encode("utf-8")) for i in ids}
+    assert {0, 7, 8, 14, 15, 20} <= byte_lengths
+    assert {"日本", "a\0", "a ", "\0"} <= ids
+
+
+def test_a_file_that_is_not_utf8_is_reported_before_a_malformed_line(tmp_path):
+    path = tmp_path / "r.dat"
+    path.write_bytes(b"broken-line\nu1::i1::5::1\nu2::\xff::1::2\n")
+    with pytest.raises(DataFormatError) as got:
+        parse_interactions(path, "MOVIELENS_DAT")
+    assert str(got.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_split_matches_the_per_user_loop(seed):
+    rng = np.random.default_rng(seed)
+    by_user = {u: rng.choice(40, size=int(rng.integers(0, 25)), replace=False).tolist()
+               for u in range(int(rng.integers(1, 30)))}
+    dataset = make_dataset(by_user, 40)
+    for ratios in ((0.7, 0.1, 0.2), (0.8, 0.0, 0.2), (1.0, 0.0, 0.0), (0.0, 0.5, 0.5),
+                   (1 / 3, 1 / 3, 1 / 3)):
+        split = split_per_user(dataset, ratios, seed=seed)
+        want = _reference_split(dataset, ratios, seed)
+        for view, parts in zip((split.train, split.valid, split.test), want):
+            _assert_same_groups(view.items_by_user, parts)
 
 
 @pytest.mark.parametrize("seed", range(6))
