@@ -84,8 +84,9 @@ def history_split(m: int, users: int, rng: np.random.Generator) -> SplitDataset:
         test.append(items[held:held + 1])
     user_ids = [str(u) for u in range(users)]
     item_ids = [str(i) for i in range(ITEMS)]
-    empty = [np.empty(0, dtype=np.int64) for _ in range(users)]
-    parts = (InteractionDataset(user_ids, item_ids, by_user) for by_user in (train, empty, test))
+    parts = (InteractionDataset(user_ids, item_ids, np.arange(users + 1, dtype=np.int64) * size,
+                                np.concatenate([np.empty(0, dtype=np.int64), *groups]))
+             for size, groups in ((m, train), (0, []), (1, test)))
     return SplitDataset(*parts, ratios=(1.0, 0.0, 0.0), seed=0)
 
 

@@ -19,11 +19,17 @@ object per line: the whole file is checked as UTF-8 before any line is,
 line ends and delimiters are found by position, and each id column is
 numbered by sorting one uint64 key per line. Only the distinct ids
 become str.
+
+A dataset holds its interactions as one CSR pair of int64 arrays:
+user u's items, ascending, are items[indptr[u]:indptr[u + 1]]. Counts,
+pairs, the k-core and the split read these two arrays; the per-user list
+of views, items_by_user, is made only when something indexes it.
 """
 
 from __future__ import annotations
 
 import codecs
+import functools
 import os
 import warnings
 from contextlib import contextmanager
@@ -54,13 +60,16 @@ FORMAT_DELIMITERS = {
 class InteractionDataset:
     """Dense-indexed implicit-feedback interactions.
 
-    user_ids and item_ids map dense index to raw id; items_by_user holds
-    each user's interacted items as a sorted index array.
+    user_ids and item_ids map dense index to raw id. indptr (user_count + 1
+    entries) and items are int64: user u's interacted items are
+    items[indptr[u]:indptr[u + 1]], ascending. items_by_user is the same
+    data as one view per user, made on first use.
     """
 
     user_ids: list[str]
     item_ids: list[str]
-    items_by_user: list[np.ndarray]
+    indptr: np.ndarray
+    items: np.ndarray
 
     @property
     def user_count(self) -> int:
@@ -72,19 +81,24 @@ class InteractionDataset:
 
     @property
     def interaction_count(self) -> int:
-        return sum(map(len, self.items_by_user))
+        return self.items.size
+
+    @functools.cached_property
+    def items_by_user(self) -> list[np.ndarray]:
+        """Each user's items, as views of items."""
+        bounds = self.indptr.tolist()
+        return [self.items[start:end] for start, end in zip(bounds, bounds[1:])]
 
     def pairs(self) -> np.ndarray:
         """All (user, item) index pairs, user-major, items ascending."""
-        sizes = list(map(len, self.items_by_user))
-        users = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-        items = np.concatenate([np.empty(0, dtype=np.int64), *self.items_by_user])
-        return np.column_stack((users, items))
+        users = np.repeat(np.arange(self.user_count, dtype=np.int64), np.diff(self.indptr))
+        return np.column_stack((users, self.items))
 
 
-def _group_by_user(users: np.ndarray, items: np.ndarray, user_count: int) -> list[np.ndarray]:
-    """The distinct items of each of user_count users, ascending, from
-    parallel (user, item) index arrays."""
+def _group_by_user(users: np.ndarray, items: np.ndarray, user_count: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct pairs of parallel (user, item) index arrays as a CSR
+    (indptr, items) over user_count users, each user's items ascending."""
     # One int64 key per pair sorts about 20x faster than np.lexsort on the two
     # columns (numpy 2.4 on x86-64, 120k and 1M pairs).
     span = int(items.max()) + 1 if items.size else 1
@@ -92,8 +106,9 @@ def _group_by_user(users: np.ndarray, items: np.ndarray, user_count: int) -> lis
     new = np.ones(keys.size, dtype=bool)
     new[1:] = keys[1:] != keys[:-1]
     users, items = np.divmod(keys[new], span)
-    ends = np.cumsum(np.bincount(users, minlength=user_count)).tolist()
-    return [items[start:end] for start, end in zip([0, *ends], ends)]
+    indptr = np.zeros(user_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(users, minlength=user_count), out=indptr[1:])
+    return indptr, items
 
 
 # LOW_BYTES[r] keeps the low r bytes of a little-endian uint64 word.
@@ -125,11 +140,7 @@ def parse_interactions(path, fmt: str = "MOVIELENS_DAT") -> InteractionDataset:
     (user_blob, users), (item_blob, items) = _id_columns(path, delimiter)
     user_ids = user_blob.decode("utf-8").split("\n")
     item_ids = item_blob.decode("utf-8").split("\n")
-    return InteractionDataset(
-        user_ids=user_ids,
-        item_ids=item_ids,
-        items_by_user=_group_by_user(users, items, len(user_ids)),
-    )
+    return InteractionDataset(user_ids, item_ids, *_group_by_user(users, items, len(user_ids)))
 
 
 def _id_columns(path, delimiter: str) -> list[tuple[bytes, np.ndarray]]:
@@ -278,10 +289,9 @@ def k_core_filter(dataset: InteractionDataset, k_user: int, k_item: int) -> Inte
     new_user = np.cumsum(user_kept) - 1
     new_item = np.cumsum(item_kept) - 1
     return InteractionDataset(
-        user_ids=[dataset.user_ids[u] for u in np.flatnonzero(user_kept).tolist()],
-        item_ids=[dataset.item_ids[i] for i in np.flatnonzero(item_kept).tolist()],
-        items_by_user=_group_by_user(
-            new_user[kept[:, 0]], new_item[kept[:, 1]], int(user_kept.sum())),
+        [dataset.user_ids[u] for u in np.flatnonzero(user_kept).tolist()],
+        [dataset.item_ids[i] for i in np.flatnonzero(item_kept).tolist()],
+        *_group_by_user(new_user[kept[:, 0]], new_item[kept[:, 1]], int(user_kept.sum())),
     )
 
 
@@ -296,14 +306,6 @@ class SplitDataset:
     seed: int
 
 
-def _view(base: InteractionDataset, items_by_user: list[np.ndarray]) -> InteractionDataset:
-    return InteractionDataset(
-        user_ids=base.user_ids,
-        item_ids=base.item_ids,
-        items_by_user=items_by_user,
-    )
-
-
 def split_per_user(
     dataset: InteractionDataset,
     ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
@@ -315,19 +317,18 @@ def split_per_user(
     put the rest in test; validation may be empty. Every user retains at
     least one training item.
 
-    Users are shuffled in order, each by one rng.shuffle of its own slice,
-    which draws what rng.permutation(n) would; the cuts and the sorting
-    of each part run over all users at once.
+    Users are shuffled in order, each by one rng.shuffle of its own slice
+    of a copy of dataset.items, which draws what rng.permutation(n) would;
+    the cuts and the sorting of each part run over all users at once.
     """
     if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"ratios must be three nonnegative values summing to 1, got {ratios}")
     rng = np.random.default_rng(seed)
-    user_count = len(dataset.items_by_user)
-    sizes = np.fromiter(map(len, dataset.items_by_user), dtype=np.int64, count=user_count)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    items = np.concatenate([np.empty(0, dtype=np.int64), *dataset.items_by_user])
-    for start, end in zip(starts.tolist(), ends.tolist()):
+    user_count = dataset.user_count
+    starts, sizes = dataset.indptr[:-1], np.diff(dataset.indptr)
+    items = dataset.items.copy()
+    bounds = dataset.indptr.tolist()
+    for start, end in zip(bounds, bounds[1:]):
         rng.shuffle(items[start:end])
     # The cut points of math.floor(x + 0.5), in the same float64 arithmetic.
     # A cut past a user's last item cuts nothing, so c2 needs no cap at n.
@@ -335,24 +336,23 @@ def split_per_user(
     c2 = np.maximum(np.floor((ratios[0] + ratios[1]) * sizes + 0.5), c1).astype(np.int64)
     c1[sizes < 3] = 1
     c2[sizes < 3] = 1
-    # Group 3u + 0, 1 or 2 (train, valid, test) of each shuffled position,
-    # then one sort by (group, item).
+    # Group part * user_count + u of each shuffled position (part 0, 1 or 2
+    # for train, valid, test), then one sort by (group, item): each part is
+    # then one run of the sorted items, user-major.
     position = np.arange(items.size)
-    group = np.repeat(np.arange(0, 3 * user_count, 3), sizes)
-    group += position >= np.repeat(starts + c1, sizes)
-    group += position >= np.repeat(starts + c2, sizes)
+    group = np.repeat(np.arange(user_count), sizes)
+    group += user_count * (position >= np.repeat(starts + c1, sizes))
+    group += user_count * (position >= np.repeat(starts + c2, sizes))
     bits = int(items.max()).bit_length() if items.size else 0
     items = np.sort(group << bits | items) & ((1 << bits) - 1)
-    bounds = [0, *np.cumsum(np.bincount(group, minlength=3 * user_count)).tolist()]
-    tr, va, te = ([items[a:b] for a, b in zip(bounds[part::3], bounds[part + 1::3])]
-                  for part in range(3))
-    return SplitDataset(
-        train=_view(dataset, tr),
-        valid=_view(dataset, va),
-        test=_view(dataset, te),
-        ratios=tuple(ratios),
-        seed=seed,
-    )
+    ends = np.zeros(3 * user_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(group, minlength=3 * user_count), out=ends[1:])
+    parts = []
+    for part in range(3):
+        indptr = ends[part * user_count:(part + 1) * user_count + 1]
+        parts.append(InteractionDataset(dataset.user_ids, dataset.item_ids, indptr - indptr[0],
+                                        items[indptr[0]:indptr[-1]]))
+    return SplitDataset(*parts, ratios=tuple(ratios), seed=seed)
 
 
 @dataclass
@@ -420,11 +420,8 @@ def load_split(data_dir) -> SplitDataset:
     views = {}
     for name in ("train", "valid", "test"):
         users, items = _read_pairs(root / f"{name}.txt", len(user_ids), len(item_ids))
-        views[name] = InteractionDataset(
-            user_ids=user_ids,
-            item_ids=item_ids,
-            items_by_user=_group_by_user(users, items, len(user_ids)),
-        )
+        views[name] = InteractionDataset(user_ids, item_ids,
+                                         *_group_by_user(users, items, len(user_ids)))
     ratios, seed = (0.7, 0.1, 0.2), 0
     path = root / "split_meta.txt"
     with _utf8(path) as fh:

@@ -110,11 +110,7 @@ def ndcg_at_n(ranked: np.ndarray, test_items, n: int | None = None) -> float:
 
 
 def _eval_users(split: SplitDataset, on: str) -> np.ndarray:
-    view = getattr(split, on)
-    return np.array(
-        [u for u in range(view.user_count) if view.items_by_user[u].size > 0],
-        dtype=np.int64,
-    )
+    return np.flatnonzero(np.diff(getattr(split, on).indptr))
 
 
 def _excluded_for(split: SplitDataset, on: str, user: int) -> np.ndarray:
@@ -170,7 +166,7 @@ def model_scorer(params: ParameterSet, config: ModelConfig, split: SplitDataset,
     can return are scored (the items _excluded_for leaves), and the other
     entries read -inf; with on None every item is scored. The history is
     the user's training positives, which no candidate is in. Each block
-    (a slice, or an index array of candidates) is scored by
+    (a run of the candidates, as an index array) is scored by
     predictors.forward_block (_score_chunk), which matches the instance
     forward pass up to rounding; predictors.block_rows sizes the blocks
     for the user's history length, and predictors.fold_history folds the
@@ -186,17 +182,14 @@ def model_scorer(params: ParameterSet, config: ModelConfig, split: SplitDataset,
     def score(user: int) -> np.ndarray:
         Qh = Q[hist_by_user[user]]
         Wq = fold_history(config, params, Qh, workspace)
-        if on is None:
-            rows = block_rows(config, Qh.shape[0], n_items)
-            blocks = [slice(lo, lo + rows) for lo in range(0, n_items, rows)]
-        else:
-            keep = np.ones(n_items, dtype=bool)
+        keep = np.ones(n_items, dtype=bool)
+        if on is not None:
             keep[_excluded_for(split, on, user)] = False
-            candidates = np.flatnonzero(keep)
-            rows = block_rows(config, Qh.shape[0], candidates.size)
-            blocks = [candidates[lo:lo + rows] for lo in range(0, candidates.size, rows)]
+        candidates = np.flatnonzero(keep)
+        rows = block_rows(config, Qh.shape[0], candidates.size)
         scores = np.full(n_items, -np.inf)
-        for items in blocks:
+        for lo in range(0, candidates.size, rows):
+            items = candidates[lo:lo + rows]
             scores[items] = _score_chunk(config, params, user, items, Qh, workspace, Wq)
         return scores
 
@@ -207,12 +200,12 @@ def _score_chunk(
     config: ModelConfig,
     params: ParameterSet,
     user: int,
-    items: slice | np.ndarray,
+    items: np.ndarray,
     Qh: np.ndarray,
     workspace: BlockWorkspace,
     Wq: np.ndarray | None,
 ) -> np.ndarray:
-    """Scores of a block of items (a slice or index array) for one user, history rows Qh folded into Wq."""
+    """Scores of a block of items (an index array) for one user, history rows Qh folded into Wq."""
     return forward_block(config, params, user, items, params.P[items], Qh, workspace, Wq).score
 
 
@@ -234,9 +227,7 @@ def baseline_scores(kind: str, split: SplitDataset, seed: int = 0, knn_k: int | 
         return score
 
     if kind == "POP":
-        counts = np.zeros(n_items)
-        for items in train.items_by_user:
-            counts[items] += 1.0
+        counts = np.bincount(train.items, minlength=n_items).astype(float)
 
         def score(user: int) -> np.ndarray:
             return counts
@@ -246,9 +237,8 @@ def baseline_scores(kind: str, split: SplitDataset, seed: int = 0, knn_k: int | 
     # ITEMKNN: cosine similarity between binary user-vector columns.
     from scipy import sparse
 
-    pairs = train.pairs()
     mat = sparse.csr_matrix(
-        (np.ones(pairs.shape[0]), (pairs[:, 0], pairs[:, 1])),
+        (np.ones(train.items.size), train.items, train.indptr),
         shape=(train.user_count, n_items),
     )
     deg = np.asarray(mat.sum(axis=0)).ravel()
@@ -291,7 +281,7 @@ def _shares(split: SplitDataset, users: np.ndarray, workers: int) -> list[np.nda
     count = min(workers, users.size)
     if count < 1:
         return []
-    weight = np.cumsum([split.train.items_by_user[u].size + 1 for u in users])
+    weight = np.cumsum(np.diff(split.train.indptr)[users] + 1)
     bounds = [0]
     for k in range(1, count):
         cut = int(np.searchsorted(weight, weight[-1] * k / count)) + 1

@@ -130,10 +130,10 @@ def epoch_instances(
 
 def check_trainable(train) -> None:
     """Raise EmptyDatasetError where epoch_instances cannot draw an epoch from train."""
-    sizes = [pos.size for pos in train.items_by_user]
-    if not any(sizes):
+    sizes = np.diff(train.indptr)
+    if not sizes.any():
         raise EmptyDatasetError("training split has no positives")
-    full = [train.user_ids[u] for u, size in enumerate(sizes) if size >= train.item_count]
+    full = [train.user_ids[u] for u in np.flatnonzero(sizes >= train.item_count).tolist()]
     if full:
         raise EmptyDatasetError(f"user {full[0]!r} has a training positive for every one of the "
                                 f"{train.item_count} items, so no negative can be drawn")

@@ -11,13 +11,15 @@ from flaicf.params import ParameterSet, array_shapes, init_parameters
 def make_dataset(items_by_user: dict[int, list[int]], n_items: int) -> InteractionDataset:
     """Build an InteractionDataset from explicit per-user item lists."""
     n_users = max(items_by_user) + 1
+    groups = [np.sort(np.asarray(items_by_user.get(u, []), dtype=np.int64))
+              for u in range(n_users)]
+    indptr = np.zeros(n_users + 1, dtype=np.int64)
+    np.cumsum([group.size for group in groups], out=indptr[1:])
     return InteractionDataset(
         user_ids=[f"u{i}" for i in range(n_users)],
         item_ids=[f"i{j}" for j in range(n_items)],
-        items_by_user=[
-            np.sort(np.asarray(items_by_user.get(u, []), dtype=np.int64))
-            for u in range(n_users)
-        ],
+        indptr=indptr,
+        items=np.concatenate(groups),
     )
 
 

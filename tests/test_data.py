@@ -1,7 +1,10 @@
 """Parsing, k-core filtering, per-user splitting, and split persistence."""
 
+import importlib.util
 import math
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -502,8 +505,25 @@ def test_grouping_matches_np_split(seed):
     users = rng.integers(max_user, size=n).astype(np.int64)  # gaps and repeats
     items = rng.integers(25, size=n).astype(np.int64)
     user_count = max_user + int(rng.integers(0, 4))  # trailing users with no items
-    _assert_same_groups(data._group_by_user(users, items, user_count),
-                        _reference_grouping(users, items, user_count))
+    indptr, grouped = data._group_by_user(users, items, user_count)
+    assert indptr.dtype == np.int64 and indptr.shape == (user_count + 1,)
+    assert indptr[0] == 0 and indptr[-1] == grouped.size and (np.diff(indptr) >= 0).all()
+    slices = [grouped[a:b] for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
+    _assert_same_groups(slices, _reference_grouping(users, items, user_count))
+    ds = data.InteractionDataset([f"u{u}" for u in range(user_count)], [], indptr, grouped)
+    _assert_same_groups(ds.items_by_user, slices)
+
+
+def test_prepare_never_makes_the_per_user_views(tmp_path):
+    rng = np.random.default_rng(5)
+    lines = [f"u{u}\ti{i}" for u, i in zip(rng.zipf(1.5, 600) % 200, rng.integers(30, size=600))]
+    raw = parse_interactions(write_raw(tmp_path / "r.tsv", lines), "TSV")
+    dataset_stats(raw)
+    core = k_core_filter(raw, 3, 3)
+    assert core.user_count < raw.user_count
+    split_per_user(core, seed=1)
+    assert "items_by_user" not in raw.__dict__
+    assert "items_by_user" not in core.__dict__
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -581,3 +601,18 @@ def test_load_split_reads_saved_files_in_bulk(tmp_path, monkeypatch):
     for name in ("train", "valid", "test"):
         _assert_same_groups(getattr(loaded, name).items_by_user,
                             getattr(split, name).items_by_user)
+
+
+def test_scale_probe_builds_its_history_split(monkeypatch):
+    """scripts/scale_probe.py builds datasets itself, so this runs its builder."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "scale_probe.py"
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/ and bench/
+    spec = importlib.util.spec_from_file_location("scale_probe", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    split = probe.history_split(3, 2, np.random.default_rng(0))
+    for view, size in ((split.train, 3), (split.valid, 0), (split.test, 1)):
+        assert view.user_count == 2 and view.item_count == probe.ITEMS
+        assert [items.size for items in view.items_by_user] == [size, size]
+    for u in range(2):
+        assert np.intersect1d(split.train.items_by_user[u], split.test.items_by_user[u]).size == 0

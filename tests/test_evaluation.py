@@ -456,7 +456,7 @@ def test_fism_ranks_a_user_in_one_block(monkeypatch):
     for user in range(6):
         scorer(user)
     assert len(calls) == 6
-    assert all(args[3] == slice(0, 400) for args in calls)
+    assert all(np.array_equal(args[3], np.arange(400)) for args in calls)
 
 
 def assert_no_child_left():
