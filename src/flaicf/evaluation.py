@@ -260,10 +260,8 @@ def baseline_scores(kind: str, split: SplitDataset, seed: int = 0, knn_k: int | 
     sim = (normalized.T @ normalized).toarray()
     np.fill_diagonal(sim, 0.0)
     if knn_k < n_items:
-        for i in range(n_items):
-            row = sim[i]
-            drop = np.argsort(-row, kind="stable")[knn_k:]
-            row[drop] = 0.0
+        drop = np.argsort(-sim, axis=1, kind="stable")[:, knn_k:]
+        np.put_along_axis(sim, drop, 0.0, axis=1)
 
     def score(user: int) -> np.ndarray:
         hist = train.items_by_user[user]
@@ -289,48 +287,71 @@ def _shares(split: SplitDataset, users: np.ndarray, workers: int) -> list[np.nda
     return np.split(users, bounds[1:])
 
 
-def _rank_in_child(
-    write_fd: int,
-    params: ParameterSet,
-    config: ModelConfig,
-    split: SplitDataset,
-    on: str,
-    n: int,
-    users: np.ndarray,
-) -> None:
-    """Rank `users` in a forked child, pickle the results (or the exception
-    raised) into the pipe and leave with os._exit, so nothing the parent set
-    up to run on exit runs here. Exits 0 only once the payload is written."""
-    status = 1
-    try:
+def _rank_share(params: ParameterSet, config: ModelConfig, split: SplitDataset, on: str, n: int,
+                users: np.ndarray) -> list[RankingResult]:
+    """The RankingResults of `users`, from a scorer of their own. model_scorer and
+    rank_users are looked up when this runs, so a replacement of either is used."""
+    return list(rank_users(model_scorer(params, config, split, on), split, on, n, users=users))
+
+
+class _ForkedCall:
+    """fn(*args) called in an os.fork()ed child, which pickles the value (or
+    the exception raised; one that cannot make the pickle round trip as
+    RuntimeError("Type: message")) into a pipe and leaves with os._exit, so
+    nothing the parent set up to run on exit runs there. It exits 0 only once
+    the payload is written. result() reads the pipe, reaps the child and returns
+    the value or raises the exception sent. close() kills and reaps a child whose
+    result was never read and closes the pipe; every handle must be closed."""
+
+    def __init__(self, fn, *args):
+        read_fd, write_fd = os.pipe()
         try:
-            scorer = model_scorer(params, config, split, on)
-            payload = pickle.dumps((True, list(rank_users(scorer, split, on, n, users=users))))
-        except BaseException as exc:
+            self.pid = os.fork()
+        except BaseException:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            status = 1
             try:
-                payload = pickle.dumps((False, exc))
-                pickle.loads(payload)
-            except Exception:
-                payload = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
+                try:
+                    payload = pickle.dumps((True, fn(*args)))
+                except BaseException as exc:
+                    try:
+                        payload = pickle.dumps((False, exc))
+                        pickle.loads(payload)
+                    except Exception:
+                        payload = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+                with os.fdopen(write_fd, "wb") as pipe:
+                    pipe.write(payload)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self.fd = read_fd
 
+    def result(self):
+        with open(self.fd, "rb", closefd=False) as pipe:
+            payload = pipe.read()
+        status = os.waitpid(self.pid, 0)[1]
+        os.close(self.fd)
+        self.fd = None
+        if status != 0 or not payload:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+            raise RuntimeError(f"evaluation child {self.pid} ended without a result "
+                               f"(wait status {status}, {how})")
+        ok, value = pickle.loads(payload)
+        if not ok:
+            raise value
+        return value
 
-def _child_results(pid: int, status: int, payload: bytes) -> list[RankingResult]:
-    """The results a reaped child sent, or the exception it sent, raised."""
-    if status != 0 or not payload:
-        code = os.waitstatus_to_exitcode(status)
-        how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-        raise RuntimeError(
-            f"evaluation child {pid} ended without a result (wait status {status}, {how})"
-        )
-    ok, value = pickle.loads(payload)
-    if not ok:
-        raise value
-    return value
+    def close(self) -> None:
+        if self.fd is not None:  # the result was never read: the child is not reaped
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            os.close(self.fd)
+            self.fd = None
 
 
 def evaluate_model(
@@ -344,47 +365,24 @@ def evaluate_model(
     """Evaluate a model on a split in `workers` processes, this one included.
 
     The users are cut into at most `workers` contiguous shares of about equal
-    summed history length (_shares). This process ranks the first share
-    while one os.fork()ed child per other share ranks that share with its own
-    scorer and sends the results back through a pipe. Per-user results do
-    not depend on the share, and they are reduced in user order with
-    _mean_metrics, so the result is bitwise equal to the serial one. Where
-    os.fork is missing, or there is one share, ranking is serial. A child's
-    exception is re-raised here; on any error the children not yet reaped
-    are killed, and every child is reaped before this returns or raises.
+    summed history length (_shares); where os.fork is missing there is one
+    share. Every share after the first is ranked by _rank_share in a child
+    (_ForkedCall), with its own scorer, while this process ranks the first
+    share, so one share is serial ranking with no child. Per-user results
+    do not depend on the share, and they are collected in share order and
+    reduced with _mean_metrics, so the result is bitwise equal to the
+    serial one. A child's exception is raised here when its result is
+    collected; every handle is closed before this returns or raises, which
+    kills and reaps each child not yet collected.
     """
-    users = _eval_users(split, on)
-    shares = _shares(split, users, workers) if hasattr(os, "fork") else []
-    if len(shares) <= 1:
-        return evaluate(model_scorer(params, config, split, on), split, on, n)
-    children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
+    shares = _shares(split, _eval_users(split, on), workers if hasattr(os, "fork") else 1)
+    children: list[_ForkedCall] = []
     try:
         for share in shares[1:]:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                _rank_in_child(write_fd, params, config, split, on, n, share)
-            os.close(write_fd)
-            children[pid] = read_fd
-        scorer = model_scorer(params, config, split, on)
-        results = [list(rank_users(scorer, split, on, n, users=shares[0]))]
-        for pid, read_fd in list(children.items()):
-            with open(read_fd, "rb", closefd=False) as pipe:
-                payload = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            os.close(children.pop(pid))
-            results.append(_child_results(pid, status, payload))
-    except BaseException:
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
+            children.append(_ForkedCall(_rank_share, params, config, split, on, n, share))
+        results = [_rank_share(params, config, split, on, n, share) for share in shares[:1]]
+        results += [child.result() for child in children]
     finally:
-        for pid, read_fd in children.items():
-            os.close(read_fd)
-            os.waitpid(pid, 0)
+        for child in children:
+            child.close()
     return _mean_metrics(chain.from_iterable(results), on, n)

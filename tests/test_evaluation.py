@@ -4,6 +4,7 @@ import math
 import os
 import signal
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -214,6 +215,33 @@ def test_itemknn_topk_truncation_keeps_strongest():
     trunc = baseline_scores("ITEMKNN", split, knn_k=3)
     changed = any(not np.allclose(full(u), trunc(u)) for u in range(15))
     assert changed  # truncation must actually bite on a dense-ish dataset
+
+
+def test_itemknn_truncation_matches_a_dense_top_k_oracle():
+    for seed, n_users, n_items in ((35, 15, 12), (37, 30, 40)):
+        split = split_per_user(random_dataset(seed, n_users=n_users, n_items=n_items, min_items=5),
+                               seed=seed)
+        R = np.zeros((n_users, n_items))
+        for u, items in enumerate(split.train.items_by_user):
+            R[u, items] = 1.0
+        co, deg = R.T @ R, R.sum(axis=0)
+        norms = np.sqrt(np.maximum(deg, 1.0))
+        sim = co / norms[:, None] / norms[None, :]
+        np.fill_diagonal(sim, 0.0)
+        for knn_k in (1, 3, n_items - 1, n_items + 5):
+            # row i keeps its knn_k largest similarities, ranked exactly (cosine^2 * deg_i
+            # = co^2 / deg_j as an integer ratio), ties to the smaller index; the diagonal is 0
+            kept = np.zeros_like(sim)
+            for i in range(n_items):
+                exact = [Fraction(int(co[i, j]) ** 2, int(deg[j])) if j != i and co[i, j] else 0
+                         for j in range(n_items)]
+                top = sorted(range(n_items), key=lambda j: (-exact[j], j))[:knn_k]
+                kept[i, top] = sim[i, top]
+            assert not np.diag(kept).any()
+            scorer = baseline_scores("ITEMKNN", split, knn_k=knn_k)
+            for u in range(n_users):
+                expect = kept[:, split.train.items_by_user[u]].sum(axis=1)
+                np.testing.assert_allclose(scorer(u), expect, rtol=0, atol=1e-12)
 
 
 def test_unknown_baseline_rejected():
@@ -556,6 +584,39 @@ def test_a_child_exception_is_raised_with_its_type_and_message(monkeypatch, fork
     assert type(raised.value) is ConfigError
     assert str(raised.value) == "no such share"
     assert len(forks) == 2
+    assert_no_child_left()
+
+
+class TwoArgumentError(Exception):
+    """Pickles, but unpickling calls __init__ with its one stored argument."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what} {why}")
+
+
+class UnpicklableError(Exception):
+    """Holds a lambda, so it does not pickle."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None
+
+
+@pytest.mark.parametrize("error, text", [
+    (TwoArgumentError("no such", "share"), "TwoArgumentError: no such share"),
+    (UnpicklableError("no such share"), "UnpicklableError: no such share"),
+], ids=["unpickles-badly", "does-not-pickle"])
+def test_a_child_exception_that_cannot_make_the_pickle_round_trip_arrives_as_runtime_error(
+        monkeypatch, forks, error, text):
+    def fail():
+        raise error
+
+    rank_users_where(monkeypatch, parent_share=lambda: [], child_share=fail)
+    with pytest.raises(RuntimeError) as raised:
+        evaluate_model(*failure_case(), on="test", n=5, workers=2)
+    assert type(raised.value) is RuntimeError
+    assert str(raised.value) == text
+    assert len(forks) == 1
     assert_no_child_left()
 
 
