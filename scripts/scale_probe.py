@@ -10,7 +10,10 @@ and one test item drawn uniformly from 3706, and random parameters
 (d = d' = 16, beta 0.7, every array drawn from N(0, 0.1)). For NAIS,
 FLA_NAIS Designs 1 and 2 and FLA_DICF Design 2 it times
 evaluation.evaluate_model on the test part serially and with 2 workers,
---reps times, and reports the fastest run as milliseconds per user.
+--reps times after one warm-up call, and reports the median run as
+milliseconds per user, with the fastest and the slowest beside it. The
+median, not the fastest: on a shared machine the fastest of 5 runs of one
+checkout swung up to 2.7x between probe runs.
 
 The benchmark's raw files hold about 120k lines, so they cannot show the
 cost of preparing ML-1M either. The probe writes an ML-1M-shaped raw file
@@ -178,8 +181,8 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--users", type=int, default=8, help="users per history length")
     parser.add_argument("--reps", type=int, default=5,
-                        help="timed runs per ranking cell (the fastest counts) and of "
-                             "prepare and load_split (the median counts)")
+                        help="timed runs per ranking cell and of prepare and load_split "
+                             "(the median counts)")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     if args.users < 1 or args.reps < 1:
@@ -193,6 +196,7 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(args.seed)
     splits = {m: history_split(m, args.users, rng) for m in HISTORIES}
     ms_per_user: dict[str, dict] = {}
+    ms_range: dict[str, dict] = {}
     for label, kind in KINDS:
         config = ModelConfig(d=D, beta=BETA, **kind)
         params = random_parameters(config, args.users, args.seed)
@@ -204,9 +208,12 @@ def main(argv=None) -> int:
                     start = time.perf_counter()
                     evaluate_model(params, config, split, "test", workers=workers)
                     walls.append(time.perf_counter() - start)
-                value = 1e3 * min(walls) / args.users
-                ms_per_user.setdefault(f"{label}.{mode}", {})[f"m{m}"] = value
-                print(f"{label:12s} {mode:6s} m={m:3d} {value:8.2f} ms/user", flush=True)
+                per_user = [1e3 * wall / args.users for wall in walls]
+                cell = f"{label}.{mode}"
+                ms_per_user.setdefault(cell, {})[f"m{m}"] = statistics.median(per_user)
+                ms_range.setdefault(cell, {})[f"m{m}"] = [min(per_user), max(per_user)]
+                print(f"{label:12s} {mode:6s} m={m:3d} {statistics.median(per_user):8.2f} ms/user "
+                      f"(min {min(per_user):.2f}, max {max(per_user):.2f})", flush=True)
 
     record = {
         "label": args.label,
@@ -218,8 +225,9 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "d": D,
         "beta": BETA,
-        "statistic": "fastest of reps, evaluate_model wall / users",
+        "statistic": "median of reps, evaluate_model wall / users; ms_per_user_range holds [min, max]",
         "ms_per_user": ms_per_user,
+        "ms_per_user_range": ms_range,
         "prepare": prepare,
         "wall_s": time.perf_counter() - started,
         "machine": machine(),

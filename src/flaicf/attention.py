@@ -23,15 +23,23 @@ softmax is shift invariant and subtracts each row's max, except in a
 ranking block whose logits all lie within ±ROW_LOGIT_BOUND: there it
 folds the item weights into one factor per row, A = e * (w / sum e),
 which moves the weights only by rounding.
+
+A ranking block may skip even that min and max. ranking_bounds works out
+once per model, from its parameters, a bound on every item logit and on
+every feature logit any block can compute; a softmax given a bound below
+its limit (bound=) reads the logits as inside without looking at them.
+The same bounds mark the hidden units that no (candidate, history item)
+pair can lift above 0, so ranking can drop them (evaluation.model_scorer).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Design, ModelConfig, ModelKind
+from .config import AttentionMode, Design, ModelConfig, ModelKind
 from .params import ParameterSet
 
 LOGIT_CLAMP = 30.0
@@ -90,7 +98,7 @@ def smoothed_softmax(logits: np.ndarray, beta: float) -> np.ndarray:
 
 
 def _smoothed_parts(
-    logits: np.ndarray, beta: float, out=(None, None), weights: bool = True
+    logits: np.ndarray, beta: float, out=(None, None), weights: bool = True, bound: float = math.inf
 ) -> SmoothedSoftmax:
     """Smoothed softmax over the history axis (-2) of logits, per column.
 
@@ -101,13 +109,15 @@ def _smoothed_parts(
     pooled sum by denom ** beta, once per feature instead of once per
     history item. Its c x m x k exps are then summed by einsum, in one
     pass, where ndarray.sum over the middle axis runs one short loop per
-    candidate and history item (about 3x slower at k = 16).
+    candidate and history item (about 3x slower at k = 16). A bound below
+    LOGIT_CLAMP on every |logit| (ranking_bounds) stands in for the min
+    and max.
     """
     if logits.shape[-2] == 0:
         raise ValueError("smoothed softmax needs at least one history item")
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    clamped = not (-LOGIT_CLAMP < logits.min() and logits.max() < LOGIT_CLAMP)
+    clamped = not (bound < LOGIT_CLAMP or -LOGIT_CLAMP < logits.min() and logits.max() < LOGIT_CLAMP)
     if clamped and not np.isfinite(logits).all():
         raise NonFiniteError("logits must be finite")
     e = logits.clip(-LOGIT_CLAMP, LOGIT_CLAMP, out=out[0]) if clamped else logits
@@ -122,14 +132,18 @@ def _smoothed_parts(
 _col_smoothed_parts = _smoothed_parts
 
 
-def _row_softmax(a_hat: np.ndarray, out: np.ndarray | None = None, scale: np.ndarray | None = None):
+def _row_softmax(a_hat: np.ndarray, out: np.ndarray | None = None, scale: np.ndarray | None = None,
+                 bound: float = math.inf):
     """Shifted softmax over the last (feature) axis, written into out when given.
 
     With scale (a ranking block's item weights, c x m x 1) it returns the
     rows times their scale; within ±ROW_LOGIT_BOUND it skips the row max
-    and multiplies by one c x m factor, scale / (row sums by einsum).
+    and multiplies by one c x m factor, scale / (row sums by einsum). A
+    bound below ROW_LOGIT_BOUND on every |logit| stands in for the
+    block's min and max.
     """
-    if scale is not None and -ROW_LOGIT_BOUND < a_hat.min() and a_hat.max() < ROW_LOGIT_BOUND:
+    if scale is not None and (bound < ROW_LOGIT_BOUND
+                              or -ROW_LOGIT_BOUND < a_hat.min() and a_hat.max() < ROW_LOGIT_BOUND):
         e = np.exp(a_hat, out=out)
         return np.multiply(e, (scale[..., 0] / np.einsum("...t->...", e))[..., None], out=e)
     shifted = np.subtract(a_hat, a_hat.max(axis=-1, keepdims=True), out=out)
@@ -173,6 +187,80 @@ def hidden_concat(p: np.ndarray, Q_hist: np.ndarray, W: np.ndarray, b: np.ndarra
     Z = np.add((p @ W[:, :d].T)[..., None, :], Q_hist @ W[:, d:].T, out=out[0])
     np.add(Z, b, out=Z)
     return Z, np.maximum(Z, 0.0, out=out[1])
+
+
+# ranking_bounds' margin for rounding: a computed sum of n products is
+# within n u / (1 - n u) of the exact one, relatively, plus at most half a
+# subnormal for each product that underflows; _slack takes both 16 times
+# over (u = eps / 2), which covers the rounding of the bounds' own sums.
+_REL = 16 * np.finfo(float).eps
+_ABS = 16 * np.finfo(float).smallest_subnormal
+
+
+def _slack(mass, n: int, reach=1.0):
+    """How far a computed sum of n products (plus a few roundings) can rise above
+    the exact one, given mass, a bound on the sum of the products' magnitudes;
+    reach bounds the factor by which a later product multiplies an earlier
+    product's underflow (1 where none does)."""
+    return (n + 4) * (_REL * mass + _ABS * reach)
+
+
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """Row 2-norms of A, each row divided by its largest |entry| before it is
+    squared, so no square that moves the norm underflows."""
+    top = np.abs(A).max(axis=1)
+    scaled = A / np.where(top > 0.0, top, 1.0)[:, None]
+    return top * np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
+
+
+def ranking_bounds(params: ParameterSet, config: ModelConfig) -> tuple[np.ndarray, float, float]:
+    """(live, item_bound, feature_bound): the hidden units a ranking block can fire, and logit bounds.
+
+    For every candidate row p of P and history row q of Q, unit k's
+    pre-activation, as hidden_prod or hidden_concat computes it, is at most
+    hi_k = b_k + B_k plus _slack: B_k bounds the sum of the magnitudes of
+    the dot product's terms, min(max|p| max|q| max_t |W_kt|,
+    sum_t max|P_.t| max|Q_.t| |W_kt|) for PROD and
+    max|p| |W_k,:d| + max|q| |W_k,d:| for CONCAT (2-norms, by
+    Cauchy-Schwarz). PROD's bounds multiply in the fold's order, q by W
+    before p (predictors.fold_history), so a product that underflows in
+    the fold underflows no less here, and its error, which the later
+    factor p scales, enters the absolute margin at most sum_t max|P_.t|
+    times. A unit with hi_k <= 0 never fires; one whose row of W
+    is exactly 0 reads b_k exactly, so it is dead if and only if b_k <= 0.
+    live marks the other units, or, when every unit is dead, the one with
+    the largest hi_k. With r = max(hi, 0) bounding the ReLU outputs, no
+    item logit exceeds sum_k r_k |h_k| in magnitude, and no logit of
+    feature t exceeds sum_k r_k |H_kt|: item_bound is the first and
+    feature_bound the largest of the second over t, each plus _slack, and
+    inf for a kind without such logits. A NaN or an infinity in P, Q, W,
+    b, H or h keeps every unit live and makes both bounds nan, so every
+    block checks its logits itself.
+    """
+    P, Q, W, b, H, h = params.P, params.Q, params.W, params.b, params.H, params.h
+    if not all(np.isfinite(a).all() for a in (P, Q, W, b, H, h) if a is not None):
+        return np.ones(b.size, dtype=bool), math.nan, math.nan
+    d = P.shape[1]
+    # a bound that overflows reads inf (or nan, as inf * 0), which keeps its units and checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_norm, q_norm = _row_norms(P).max(), _row_norms(Q).max()
+        if config.attention_mode is AttentionMode.CONCAT:
+            mass = p_norm * _row_norms(W[:, :d]) + q_norm * _row_norms(W[:, d:])
+            reach = 1.0
+        else:
+            absW, p_max = np.abs(W), np.abs(P).max(axis=0)
+            mass = np.minimum(p_norm * (q_norm * absW.max(axis=1)), (np.abs(Q).max(axis=0) * absW) @ p_max)
+            reach = 1.0 + p_max.sum()
+        hi = b + np.where(W.any(axis=1), mass + _slack(mass + np.abs(b), W.shape[1], reach), 0.0)
+        live = ~(hi <= 0.0)
+        if not live.any():
+            live[np.argmax(hi)] = True
+        r = np.maximum(hi, 0.0)
+        bounds = []
+        for weights in (h, H):
+            mass = math.inf if weights is None else (r @ np.abs(weights)).max()
+            bounds.append(float(mass + _slack(mass, b.size)))
+    return live, *bounds
 
 
 def design1_weights(p: np.ndarray, Q_hist: np.ndarray, params: ParameterSet, beta: float) -> AttentionOutput:

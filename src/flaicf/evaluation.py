@@ -19,12 +19,15 @@ from itertools import chain
 
 import numpy as np
 
+from .attention import ranking_bounds
 from .config import ConfigError, ModelConfig
 from .data import SplitDataset
 from .params import ParameterSet
 from .predictors import BlockWorkspace, block_rows, fold_history, forward_block
 
 BASELINES = ("RANDOM", "POP", "ITEMKNN")
+# Rows of the items x items similarity that ITEMKNN builds and truncates at a time.
+KNN_ROWS = 256
 
 
 @dataclass
@@ -174,10 +177,24 @@ def model_scorer(params: ParameterSet, config: ModelConfig, split: SplitDataset,
     intermediates into one BlockWorkspace, made once per scorer, so they
     live only until the next block and a scorer is not safe to call from
     two threads at once; the scores returned are a fresh array per user.
+
+    Before the first block, attention.ranking_bounds works out from the
+    parameters which hidden units no (candidate, history item) pair can
+    lift above 0, and bounds every item and feature logit. The blocks run
+    the model without those units (_live_units: their rows of W, b, H and
+    h dropped, at least one kept), which reads every dead unit's ReLU as
+    the 0 it is, so scores move only by rounding; the workspace carries the
+    logit bounds, so a block's softmax skips its min and max where a bound
+    lies inside its limit. A NaN or an infinity in those arrays keeps every
+    unit and every check.
     """
+    bounds = ()
+    if params.W is not None:  # every kind but FISM
+        live, *bounds = ranking_bounds(params, config)
+        params = _live_units(params, live)
+    workspace = BlockWorkspace(*bounds)
     Q, n_items = params.Q, params.P.shape[0]
     hist_by_user = split.train.items_by_user
-    workspace = BlockWorkspace()
 
     def score(user: int) -> np.ndarray:
         Qh = Q[hist_by_user[user]]
@@ -194,6 +211,14 @@ def model_scorer(params: ParameterSet, config: ModelConfig, split: SplitDataset,
         return scores
 
     return score
+
+
+def _live_units(params: ParameterSet, live: np.ndarray) -> ParameterSet:
+    """params with only the hidden units live marks: their rows of W, b, H and h."""
+    if live.all():
+        return params
+    return ParameterSet.from_arrays(params.n_users, **{
+        name: array[live] if name in ("W", "b", "H", "h") else array for name, array in params.arrays()})
 
 
 def _score_chunk(
@@ -257,11 +282,17 @@ def baseline_scores(kind: str, split: SplitDataset, seed: int = 0, knn_k: int | 
         return score
 
     # Truncated neighborhoods: keep each target's knn_k most similar items.
-    sim = (normalized.T @ normalized).toarray()
-    np.fill_diagonal(sim, 0.0)
-    if knn_k < n_items:
-        drop = np.argsort(-sim, axis=1, kind="stable")[:, knn_k:]
-        np.put_along_axis(sim, drop, 0.0, axis=1)
+    # The dense similarity is built and truncated a block of rows at a time,
+    # so the sparse product and the argsort's temporaries stay block-sized.
+    sim = np.empty((n_items, n_items))
+    left, right = normalized.T.tocsr(), normalized.tocsr()
+    for lo in range(0, n_items, KNN_ROWS):
+        rows = sim[lo:lo + KNN_ROWS]
+        (left[lo:lo + KNN_ROWS] @ right).toarray(out=rows)
+        np.fill_diagonal(rows[:, lo:], 0.0)
+        if knn_k < n_items:
+            drop = np.argsort(-rows, axis=1, kind="stable")[:, knn_k:]
+            np.put_along_axis(rows, drop, 0.0, axis=1)
 
     def score(user: int) -> np.ndarray:
         hist = train.items_by_user[user]

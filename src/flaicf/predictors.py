@@ -203,10 +203,18 @@ class BlockWorkspace:
     these buffers, valid only until the next block. Reuse is what keeps
     ranking fast: glibc gives freed block-sized temporaries back to the
     OS, so fresh ones are faulted in again every block (BLOCK).
+
+    item_bound and feature_bound bound the magnitude of every item and
+    feature logit a block run on the workspace computes
+    (attention.ranking_bounds, set by evaluation.model_scorer). Where a
+    bound lies inside a softmax's limit, that softmax skips its per-block
+    min and max; where it does not (inf, the default, or nan), the block
+    checks its logits itself.
     """
 
-    def __init__(self):
+    def __init__(self, item_bound: float = math.inf, feature_bound: float = math.inf):
         self.buffers: dict[str, np.ndarray] = {}
+        self.item_bound, self.feature_bound = item_bound, feature_bound
 
     def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         """A view of name's buffer with the given shape."""
@@ -345,16 +353,17 @@ def _block_chain(
     if config.item_attention:
         cache.item_logits = np.matmul(cache.R, params.h[:, None], out=ws.take("item_logits", cm1))
         out = (ws.take("item_exp", cm1), ws.take("item_weights", cm1))
-        cache.item = _smoothed_parts(cache.item_logits, config.beta, out)
+        cache.item = _smoothed_parts(cache.item_logits, config.beta, out, bound=ws.item_bound)
     if config.feature_attention:
         cache.a_hat = ws.take("a_hat", cmd)  # one GEMM, faster than c batched ones at small m
         np.matmul(cache.R.reshape(-1, cmdp[-1]), params.H, out=cache.a_hat.reshape(-1, cmd[-1]))
         if config.item_attention:
-            cache.A = _row_softmax(cache.a_hat, ws.take("A", cmd), cache.item.weights)
+            cache.A = _row_softmax(cache.a_hat, ws.take("A", cmd), cache.item.weights, ws.feature_bound)
             pooled = np.einsum("cjt,jt->ct", cache.A, Q_hist)
         else:
             out = (ws.take("col_exp", cmd), None)
-            cache.cols = _col_smoothed_parts(cache.a_hat, config.beta, out, weights=False)
+            cache.cols = _col_smoothed_parts(cache.a_hat, config.beta, out, weights=False,
+                                             bound=ws.feature_bound)
             pooled = np.einsum("cjt,jt->ct", cache.cols.exp, Q_hist)
             pooled /= cache.cols.denom ** config.beta
     else:

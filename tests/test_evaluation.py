@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from flaicf import evaluation, predictors
-from flaicf.attention import NonFiniteError
+from flaicf.attention import NonFiniteError, hidden_concat, hidden_prod, ranking_bounds
 from flaicf.config import DEEP_KINDS, AttentionMode, ConfigError, Design, ModelConfig, ModelKind
 from flaicf.data import split_per_user
 from flaicf.evaluation import (
@@ -27,6 +27,7 @@ from flaicf.predictors import (
     BlockWorkspace,
     PredictionContext,
     block_rows,
+    fold_history,
     forward_block,
     forward_cache,
     predict,
@@ -242,6 +243,16 @@ def test_itemknn_truncation_matches_a_dense_top_k_oracle():
             for u in range(n_users):
                 expect = kept[:, split.train.items_by_user[u]].sum(axis=1)
                 np.testing.assert_allclose(scorer(u), expect, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("knn_k", [4, 45])
+def test_itemknn_truncation_in_row_blocks_equals_one_block(monkeypatch, knn_k):
+    split = split_per_user(random_dataset(37, n_users=30, n_items=40, min_items=5), seed=37)
+    whole = baseline_scores("ITEMKNN", split, knn_k=knn_k)
+    monkeypatch.setattr(evaluation, "KNN_ROWS", 7)  # 40 rows in 6 blocks, the last one short
+    blocked = baseline_scores("ITEMKNN", split, knn_k=knn_k)
+    for u in range(30):
+        np.testing.assert_array_equal(blocked(u), whole(u))
 
 
 def test_unknown_baseline_rejected():
@@ -485,6 +496,217 @@ def test_fism_ranks_a_user_in_one_block(monkeypatch):
         scorer(user)
     assert len(calls) == 6
     assert all(np.array_equal(args[3], np.arange(400)) for args in calls)
+
+
+# ------------------------------------------------------- dead hidden units
+
+
+ATTENTIVE_CONFIGS = [cfg for cfg in SCORER_CONFIGS if cfg.model_kind is not ModelKind.FISM]
+# Hidden units 0 and 1 planted (W rows, b); the other units stay random.
+PLANTED = {
+    "none": None,
+    "zero-rows": (0.0, [-0.5, 0.5]),
+    "1e-300-rows": (1e-300, [-1e-303, 0.0]),
+    "zero-rows-b0": (0.0, [0.0, -1e-300]),
+}
+
+
+def planted_params(cfg, n_items, n_users, seed, scale, planted):
+    params = random_params(cfg, n_items, n_users, seed=seed, scale=scale)
+    if PLANTED[planted] is not None:
+        w, b = PLANTED[planted]
+        params.W[:2] *= w / scale
+        params.b[:2] = b
+    return params
+
+
+def every_pre_activation(cfg, params):
+    """Unit pre-activations of every (candidate P_i, history item Q_j) pair, as a block computes them."""
+    P, Q = params.P, params.Q
+    if cfg.attention_mode is AttentionMode.CONCAT:
+        return hidden_concat(P, Q, params.W, params.b)[0]
+    return hidden_prod(P, Q, params.W, params.b, Wq=fold_history(cfg, params, Q))[1]
+
+
+@pytest.mark.parametrize("planted", PLANTED)
+@pytest.mark.parametrize("scale", [0.3, 1e-103], ids=["0.3", "1e-103"])
+@pytest.mark.parametrize("cfg", ATTENTIVE_CONFIGS, ids=config_id)
+def test_every_unit_a_pair_fires_is_kept(cfg, scale, planted):
+    # at 1e-103 the products p_t q_t W_kt are subnormal, below the normal range
+    for seed in range(53, 58):
+        params = planted_params(cfg, 40, 3, seed, scale, planted)
+        live, item_bound, feature_bound = ranking_bounds(params, cfg)
+        fired = (every_pre_activation(cfg, params) > 0.0).any(axis=(0, 1))
+        assert live[fired].all(), (seed, fired, live)
+        assert live.any()
+        if PLANTED[planted] is not None and PLANTED[planted][0] == 0.0 and live[2:].any():
+            # a zero row of W reads its bias exactly: dead if and only if b <= 0
+            np.testing.assert_array_equal(live[:2], params.b[:2] > 0.0)
+        for bound in (item_bound, feature_bound):
+            assert bound == math.inf or 0.0 <= bound < math.inf
+
+
+@pytest.mark.parametrize("cfg", ATTENTIVE_CONFIGS[:2], ids=config_id)
+def test_a_unit_at_the_edge_of_firing_is_kept(cfg):
+    # Candidate 0 and history item 1 hold every coordinate's largest |value|, aligned
+    # with W_0 (its signs for PROD, its direction for CONCAT), so their pair's sum
+    # reaches the bound exactly; b_0 cancels that sum to the last bit or one ulp
+    # less, and the computed pre-activation lands a few ulps either side of 0. Only
+    # the rounding margin keeps the unit whenever it fires.
+    rng = np.random.default_rng(64)
+    fired_some = False
+    for _ in range(300):
+        params = random_params(cfg, 3, 2, seed=int(rng.integers(2**31)), scale=0.3)
+        d = params.P.shape[1]
+        W0 = params.W[0]
+        params.P[1:] *= 0.01
+        params.Q[[0, 2]] *= 0.01
+        if cfg.attention_mode is AttentionMode.CONCAT:
+            params.P[0], params.Q[1] = rng.uniform(1.0, 2.0) * W0[:d], rng.uniform(1.0, 2.0) * W0[d:]
+            total = params.P[0] @ W0[:d] + params.Q[1] @ W0[d:]
+        else:
+            params.P[0] = rng.uniform(1.0, 2.0, d) * np.sign(W0)
+            params.Q[1] = rng.uniform(1.0, 2.0, d)
+            total = np.dot(params.P[0] * params.Q[1], W0)
+        params.b[0] = -total if rng.random() < 0.5 else np.nextafter(-total, 0.0)
+        fired = (every_pre_activation(cfg, params) > 0.0).any(axis=(0, 1))
+        fired_some |= bool(fired[0])
+        assert ranking_bounds(params, cfg)[0][fired].all()
+    assert fired_some
+
+
+# (P, Q, W) scales: P and Q whose product underflows while a block's fold
+# q * W does not; a large p times a fold q * W that is subnormal; both large.
+UNEVEN = [(1e-170, 1e-170, 1e170), (1e10, 1e-160, 1e-155), (1e150, 1e-160, 1e-150)]
+
+
+@pytest.mark.parametrize("scales", UNEVEN, ids=["pq-underflow", "fold-subnormal", "p-large"])
+@pytest.mark.parametrize("cfg", ATTENTIVE_CONFIGS, ids=config_id)
+def test_every_unit_a_pair_fires_is_kept_when_p_q_and_w_differ_in_scale(cfg, scales):
+    for seed in range(65, 70):
+        params = random_params(cfg, 40, 3, seed=seed, scale=1.0)
+        for name, scale in zip("PQW", scales):
+            params.get(name)[...] *= scale
+        params.b[:] = 0.0
+        params.b[:] = -0.5 * every_pre_activation(cfg, params).max(axis=(0, 1))
+        fired = (every_pre_activation(cfg, params) > 0.0).any(axis=(0, 1))
+        assert fired.all()
+        assert ranking_bounds(params, cfg)[0].all(), seed
+
+
+PROD_CONFIGS = [cfg for cfg in ATTENTIVE_CONFIGS if cfg.attention_mode is AttentionMode.PROD]
+
+
+@pytest.mark.parametrize("cfg", PROD_CONFIGS, ids=config_id)
+def test_a_unit_fired_by_a_subnormal_fold_rounded_up_is_kept(cfg):
+    # Each q_t W_0t is 0.55 of the smallest subnormal, which the fold q * W rounds
+    # up to 1 of it, and p = 2**100 carries that error into the pre-activation:
+    # the block reads d 2**-974 + b > 0 where the exact value and the
+    # Cauchy-Schwarz bound (sqrt(d) 2**-974) lie below 0. Only the absolute
+    # margin that max|p| scales keeps the unit.
+    params = random_params(cfg, 3, 2, seed=66, scale=0.3)
+    d = params.P.shape[1]
+    params.W[0] = np.sign(params.W[0]) * 2.0**-600
+    params.P[:], params.Q[:] = 0.0, 0.0
+    params.P[0] = np.sign(params.W[0]) * 2.0**100
+    params.Q[1] = 0.55 * 2.0**-474
+    params.b[0] = -0.6 * d * 2.0**-974
+    assert (every_pre_activation(cfg, params) > 0.0).any(axis=(0, 1))[0]
+    assert ranking_bounds(params, cfg)[0][0]
+
+
+def test_the_check_finds_dead_units_at_both_scales():
+    cfg = ModelConfig(model_kind=ModelKind.NAIS, d=5, d_prime=8)
+    for scale in (0.3, 1e-103):
+        params = random_params(cfg, 40, 3, seed=59, scale=scale)
+        params.b[:4] = -10 * scale  # beyond any pair's reach at either scale
+        live = ranking_bounds(params, cfg)[0]
+        assert not live[:4].any() and live.sum() <= 4
+
+
+def bounded_scorer_logits(monkeypatch):
+    """Record, per ranking block, the workspace's bounds and the largest |item| and |feature| logit."""
+    seen = []
+    original = evaluation.forward_block
+
+    def recording(*args):
+        cache = original(*args)
+        ws = args[6]
+        largest = [0.0 if a is None else float(np.abs(a).max()) for a in (cache.item_logits, cache.a_hat)]
+        seen.append((ws.item_bound, ws.feature_bound, *largest))
+        return cache
+
+    monkeypatch.setattr(evaluation, "forward_block", recording)
+    return seen
+
+
+@pytest.mark.parametrize("planted", PLANTED)
+@pytest.mark.parametrize("scale", [0.3, 3.0], ids=["0.3", "3"])
+@pytest.mark.parametrize("cfg", ATTENTIVE_CONFIGS, ids=config_id)
+def test_each_logit_bound_covers_every_block(cfg, scale, planted, monkeypatch):
+    split = long_history_split()
+    params = planted_params(cfg, 400, 6, 60, scale, planted)
+    seen = bounded_scorer_logits(monkeypatch)
+    scorer = model_scorer(params, cfg, split)
+    for user in range(6):
+        scorer(user)
+    assert len(seen) >= 6 * 3
+    item_bound, feature_bound = seen[0][:2]
+    assert math.isfinite(item_bound if cfg.item_attention else feature_bound)
+    for item_b, feature_b, item_max, feature_max in seen:
+        assert (item_b, feature_b) == (item_bound, feature_bound)
+        assert item_max <= item_bound and feature_max <= feature_bound
+
+
+def assert_scores_match_the_full_block(cfg, params, split):
+    scorer = model_scorer(params, cfg, split)
+    for user in range(split.train.user_count):
+        hist = split.train.items_by_user[user]
+        whole = forward_block(cfg, params, user, slice(None), params.P, params.Q[hist]).score
+        pruned = scorer(user)
+        np.testing.assert_allclose(pruned, whole, rtol=1e-12, atol=0.0)
+        top = lambda scores: np.argsort(-scores, kind="stable")[:10]
+        np.testing.assert_array_equal(top(pruned), top(whole))
+
+
+@pytest.mark.parametrize("planted", [name for name in PLANTED if name != "none"])
+@pytest.mark.parametrize("cfg", ATTENTIVE_CONFIGS, ids=config_id)
+def test_a_pruned_scorer_equals_the_full_forward_block(cfg, planted):
+    split = long_history_split()
+    params = planted_params(cfg, 400, 6, 61, 0.3, planted)
+    params.b[2] = -10.0  # a random row that cannot reach 10
+    live = ranking_bounds(params, cfg)[0]
+    assert not live[2] and live.sum() < live.size
+    assert_scores_match_the_full_block(cfg, params, split)
+
+
+@pytest.mark.parametrize("cfg", ATTENTIVE_CONFIGS, ids=config_id)
+def test_a_model_whose_units_are_all_dead_still_ranks(cfg):
+    split = long_history_split()
+    params = random_params(cfg, 400, 6, seed=62, scale=0.3)
+    params.b[:] = -50.0
+    live, item_bound, feature_bound = ranking_bounds(params, cfg)
+    assert live.sum() == 1
+    # every ReLU reads 0, so every logit is 0
+    assert min(item_bound, feature_bound) < 1e-300
+    assert_scores_match_the_full_block(cfg, params, split)
+    record = evaluate_model(params, cfg, split, on="test")
+    assert record.users_evaluated == 6
+
+
+@pytest.mark.parametrize("name", ["P", "Q", "W", "b", "h", "H"])
+@pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "-inf"])
+def test_a_nonfinite_parameter_keeps_every_unit_and_bounds_nothing(bad, name):
+    for cfg in ATTENTIVE_CONFIGS:
+        params = random_params(cfg, 14, 3, seed=63, scale=0.3)
+        params.b[:] = -10.0
+        array = params.get(name) if name in params.shapes() else None
+        if array is None:
+            continue
+        array.flat[-1] = bad
+        live, item_bound, feature_bound = ranking_bounds(params, cfg)
+        assert live.all()
+        assert math.isnan(item_bound) and math.isnan(feature_bound)
 
 
 def assert_no_child_left():
