@@ -28,6 +28,16 @@ done. The peak is read as VmHWM from /proc/self/status (Linux), because
 an exec'd child's `ru_maxrss` starts at its parent's peak, which here is
 already that of several `prepare` runs.
 
+Ranking groups users, and a group whose histories overlap computes each
+(candidate, history item) pair once for all its users. The m-cells'
+histories are drawn independently from 3706 items and barely overlap, so
+their users are ranked one at a time and cannot show what a full split's
+ranking costs. The probe therefore also ranks every test user of that
+prepared ML-1M-shaped split (6040 users) with random parameters drawn as
+above, for each kind, serially and with 2 workers, --reps times with no
+warm-up (one pass takes tens of seconds), and reports the median pass in
+seconds with the fastest and the slowest beside it.
+
 Nothing is trained and nothing is kept but BENCH_scale_<label>.json at
 the root of the checkout, which also holds the commit and the machine
 facts. To compare two checkouts, run it in each, alternating, on the
@@ -93,10 +103,10 @@ def history_split(m: int, users: int, rng: np.random.Generator) -> SplitDataset:
     return SplitDataset(*parts, ratios=(1.0, 0.0, 0.0), seed=0)
 
 
-def random_parameters(config: ModelConfig, users: int, seed: int):
-    params = init_parameters(config, ITEMS, users, seed=seed)
+def random_parameters(config: ModelConfig, users: int, seed: int, items: int = ITEMS):
+    params = init_parameters(config, items, users, seed=seed)
     rng = np.random.default_rng(seed)
-    for name, shape in array_shapes(config, ITEMS, users).items():
+    for name, shape in array_shapes(config, items, users).items():
         params.get(name)[...] = rng.normal(0.0, PARAM_SCALE, size=shape)
     return params
 
@@ -129,10 +139,10 @@ def prepare_peak_rss_mb(argv: list[str]) -> float:
     return float(done.stdout.split()[-1])
 
 
-def time_prepare(reps: int) -> dict:
+def time_prepare(reps: int) -> tuple[dict, SplitDataset]:
     """Medians of reps `flaicf prepare` calls on the ML-1M-shaped raw file
     and of reps `load_split` calls on their output, and the peak RSS that
-    one more `prepare` adds in a fresh process."""
+    one more `prepare` adds in a fresh process; and the split loaded."""
     with tempfile.TemporaryDirectory(prefix="scale_probe_") as tmp:
         gen = generate(ML1M_SHAPE, ML1M_SEED, Path(tmp))
         out = Path(tmp) / "prepared"
@@ -164,7 +174,28 @@ def time_prepare(reps: int) -> dict:
         "prepare_ms": 1e3 * statistics.median(prepare_s),
         "load_split_ms": 1e3 * statistics.median(load_s),
         "prepare_peak_rss_mb": peak_rss_mb,
-    }
+    }, split
+
+
+def time_full_passes(split: SplitDataset, reps: int, seed: int) -> tuple[dict, dict]:
+    """Seconds of evaluate_model over every test user of split, per kind
+    and worker count: the median of reps passes, and [fastest, slowest]."""
+    median, spread = {}, {}
+    users, items = split.train.user_count, split.train.item_count
+    for label, kind in KINDS:
+        config = ModelConfig(d=D, beta=BETA, **kind)
+        params = random_parameters(config, users, seed, items)
+        for mode, workers in WORKERS:
+            walls = []
+            for _ in range(reps):
+                start = time.perf_counter()
+                evaluate_model(params, config, split, "test", workers=workers)
+                walls.append(time.perf_counter() - start)
+            cell = f"{label}.{mode}"
+            median[cell], spread[cell] = statistics.median(walls), [min(walls), max(walls)]
+            print(f"{label:12s} {mode:6s} all {users} users {median[cell]:8.2f} s "
+                  f"(min {min(walls):.2f}, max {max(walls):.2f})", flush=True)
+    return median, spread
 
 
 def commit() -> str:
@@ -181,15 +212,15 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--users", type=int, default=8, help="users per history length")
     parser.add_argument("--reps", type=int, default=5,
-                        help="timed runs per ranking cell and of prepare and load_split "
-                             "(the median counts)")
+                        help="timed runs per ranking cell, full-split pass, prepare and "
+                             "load_split (the median counts)")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     if args.users < 1 or args.reps < 1:
         parser.error("--users and --reps must be >= 1")
 
     started = time.perf_counter()
-    prepare = time_prepare(args.reps)
+    prepare, ml1m = time_prepare(args.reps)
     print(f"prepare {prepare['raw_lines']} lines {prepare['prepare_ms']:8.1f} ms "
           f"(peak RSS +{prepare['prepare_peak_rss_mb']:.1f} MB), "
           f"load_split {prepare['load_split_ms']:7.1f} ms", flush=True)
@@ -214,6 +245,7 @@ def main(argv=None) -> int:
                 ms_range.setdefault(cell, {})[f"m{m}"] = [min(per_user), max(per_user)]
                 print(f"{label:12s} {mode:6s} m={m:3d} {statistics.median(per_user):8.2f} ms/user "
                       f"(min {min(per_user):.2f}, max {max(per_user):.2f})", flush=True)
+    full_s, full_range = time_full_passes(ml1m, args.reps, args.seed)
 
     record = {
         "label": args.label,
@@ -229,6 +261,15 @@ def main(argv=None) -> int:
         "ms_per_user": ms_per_user,
         "ms_per_user_range": ms_range,
         "prepare": prepare,
+        "full_pass": {
+            "users": ml1m.train.user_count,
+            "test_users": int(np.count_nonzero(np.diff(ml1m.test.indptr))),
+            "items": ml1m.train.item_count,
+            "train_pairs": ml1m.train.interaction_count,
+            "statistic": "median of reps, evaluate_model wall over every test user; s_range holds [min, max]",
+            "s": full_s,
+            "s_range": full_range,
+        },
         "wall_s": time.perf_counter() - started,
         "machine": machine(),
     }

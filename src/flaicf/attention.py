@@ -21,8 +21,8 @@ directly and grad_mask is all True; otherwise they are checked for
 finiteness (NonFiniteError) and clipped. Design 1's per-item feature
 softmax is shift invariant and subtracts each row's max, except in a
 ranking block whose logits all lie within ±ROW_LOGIT_BOUND: there it
-folds the item weights into one factor per row, A = e * (w / sum e),
-which moves the weights only by rounding.
+folds the block's item exps into one factor per row, e * (w / sum e)
+with w the exps, which moves the result only by rounding.
 
 A ranking block may skip even that min and max. ranking_bounds works out
 once per model, from its parameters, a bound on every item logit and on
@@ -43,8 +43,10 @@ from .config import AttentionMode, Design, ModelConfig, ModelKind
 from .params import ParameterSet
 
 LOGIT_CLAMP = 30.0
-# Design 1's block row softmax skips its max inside this bound: with item
-# weights at most e**LOGIT_CLAMP, w / sum e stays finite and normal.
+# Design 1's block row softmax skips its max inside this bound: its scale,
+# the item exps, lies within e**±LOGIT_CLAMP, so scale / sum e lies
+# between e**-630 / d and e**630, finite and normal for any d below
+# e**78, and its product with an exp is at most the scale.
 ROW_LOGIT_BOUND = 600.0
 
 
@@ -67,13 +69,13 @@ class SmoothedSoftmax:
     """Weights of a smoothed softmax with the pieces its gradient needs.
 
     weights, exp and logits are shaped (..., m, k); denom, the sum of the
-    exps over the history, is (..., k). weights is None where the caller
-    divides by denom ** beta itself (_smoothed_parts).
+    exps over the history, is (..., k). weights and denom are None where
+    the caller pools the exps itself (_smoothed_parts).
     """
 
     weights: np.ndarray | None
     exp: np.ndarray
-    denom: np.ndarray
+    denom: np.ndarray | None
     logits: np.ndarray
 
     @property
@@ -104,14 +106,12 @@ def _smoothed_parts(
 
     Item logits have one column, Design 2's feature logits one per
     feature. out holds the arrays the exps and the weights are written
-    into (fresh arrays where None). With weights False no weights are
-    divided out: a ranking block pools the exps first and divides the
-    pooled sum by denom ** beta, once per feature instead of once per
-    history item. Its c x m x k exps are then summed by einsum, in one
-    pass, where ndarray.sum over the middle axis runs one short loop per
-    candidate and history item (about 3x slower at k = 16). A bound below
-    LOGIT_CLAMP on every |logit| (ranking_bounds) stands in for the min
-    and max.
+    into (fresh arrays where None). With weights False only the exps are
+    computed, with no weights and no denom: a ranking block pools the
+    exps over each user's own history and divides by that user's
+    sum ** beta, once per feature instead of once per history item. A
+    bound below LOGIT_CLAMP on every |logit| (ranking_bounds) stands in
+    for the min and max.
     """
     if logits.shape[-2] == 0:
         raise ValueError("smoothed softmax needs at least one history item")
@@ -122,8 +122,10 @@ def _smoothed_parts(
         raise NonFiniteError("logits must be finite")
     e = logits.clip(-LOGIT_CLAMP, LOGIT_CLAMP, out=out[0]) if clamped else logits
     e = np.exp(e, out=e if clamped else out[0])
-    denom = e.sum(axis=-2) if weights else np.einsum("...jk->...k", e)
-    w = np.divide(e, denom[..., None, :] ** beta, out=out[1]) if weights else None
+    if not weights:
+        return SmoothedSoftmax(weights=None, exp=e, denom=None, logits=logits)
+    denom = e.sum(axis=-2)
+    w = np.divide(e, denom[..., None, :] ** beta, out=out[1])
     return SmoothedSoftmax(weights=w, exp=e, denom=denom, logits=logits)
 
 
@@ -136,7 +138,7 @@ def _row_softmax(a_hat: np.ndarray, out: np.ndarray | None = None, scale: np.nda
                  bound: float = math.inf):
     """Shifted softmax over the last (feature) axis, written into out when given.
 
-    With scale (a ranking block's item weights, c x m x 1) it returns the
+    With scale (a ranking block's item exps, c x m x 1) it returns the
     rows times their scale; within ±ROW_LOGIT_BOUND it skips the row max
     and multiplies by one c x m factor, scale / (row sums by einsum). A
     bound below ROW_LOGIT_BOUND on every |logit| stands in for the

@@ -11,6 +11,7 @@ directory. Exit status is 0 on success; failures print one line
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -444,10 +445,13 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # every command takes the same flags, declared once and shared through
     # parents: each add_argument call builds a HelpFormatter, and adding
-    # the flags to each of the five subparsers cost about 6 ms per call
+    # the flags to each of the five subparsers cost about 6 ms per call.
+    # Built once per process, since building still took 1.0-1.3 ms of
+    # gettext and terminal-size lookups; parse_args leaves it unchanged.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="flat key=value config file")
     for key, (_, default, help_text) in RUN_KEYS.items():

@@ -26,18 +26,24 @@ gathers the P/Q rows and keeps every intermediate the exact backward
 pass needs), ranking with blocks of items (evaluation.model_scorer,
 blocks of block_rows items), and the attention views read its weights.
 
-A block of c candidates runs the same chain without building X. The
-hidden layer's pre-activations are one GEMM against the user's history
-folded into W (fold_history, built once per user); every kind pools one
-c x d term u_c = sum_j A_cj * q_j from its weights A, so Design 2
-divides by its smoothed-softmax denominators once per feature, not once
-per history item; and the head is p . u (sum) or the tower over
-e = p * u. A block's intermediates are c x m x d' (Z, R) and c x m x d
-(feature logits and exps). Ranking budgets its blocks (BLOCK) and writes
-every such intermediate into one BlockWorkspace that it reuses from
-block to block, so the fields of a cache built on a workspace are valid
-only until the next block. Without a workspace every array is fresh, and
-a one-target cache never shares memory with another.
+A block of c candidates is scored for a group of users at once, without
+building X. Every (candidate, history item) pair's hidden layer, logits
+and exps depend only on the two items; only the smoothed softmax's sums
+over a history depend on the user. So a block runs the chain once
+against the m history rows the group shares (the union of its users'
+histories, folded into W once per group by fold_history, so the hidden
+layer is one GEMM) and then pools each pair term per user with one
+sparse product by the group's g x m history indicator: a numerator
+sum_j T_j and a denominator sum_j B_j per (user, candidate), with
+pooled = num / den ** beta. One user's block is the same chain, whose
+pair terms are summed over the rows instead. A block's intermediates are
+c x m x d' (Z, R) and c x m x d (feature logits and exps). Ranking
+budgets its blocks (BLOCK), runs a block's chain over a long shared
+history in runs of rows within that budget, and writes every such
+intermediate into one BlockWorkspace that it reuses from block to block,
+so the fields of a cache built on a workspace are valid only until the
+next block. Without a workspace every array is fresh, and a one-target
+cache never shares memory with another.
 
 Empty histories fall back to a constant: 0 for FISM, NAIS and FLA_NAIS,
 and the user-plus-item bias for the DeepICF family.
@@ -93,9 +99,11 @@ class ForwardCache:
     row_s for Design 1 or cols for Design 2, giving A); the fields of the
     weights a kind lacks stay None. The tower head keeps its pooled
     interaction e and its layers' deep_z and deep_u. For a block of
-    candidate targets every array has a leading candidate axis and score
-    holds one value per candidate; a block builds no X, Design 1's block
-    no row_s, and Design 2's block keeps the exps (cols) but no weights A.
+    candidate targets every pair array has a leading candidate axis, and
+    score holds one value per candidate (users x candidates for a group).
+    A block builds no X and no weights: item keeps its exps only, Design
+    1's A is its row softmax scaled by the item exps (no row_s), Design
+    2's cols keeps its exps, and the tower's e is (users * candidates) x d.
     forward_cache adds the target's and the history's rows of the P/Q
     table (pq) and their indices.
     """
@@ -163,13 +171,22 @@ def deep_tower(cache: ForwardCache, e: np.ndarray, params: ParameterSet) -> floa
 
 # Elements in each candidates x history x max(d, d') intermediate of one
 # scoring block (Z and R are c x m x d', the feature logits and exps
-# c x m x d; no c x m x d interaction tensor is built). At d = d' = 16 a
-# block's (c x d+1) @ (d+1 x m*d') GEMM (fold_history) then has at most
+# c x m x d; no c x m x d interaction tensor is built), m being the
+# history rows a group of users shares. At d = d' = 16 a block's
+# (c x d+1) @ (d+1 x m*d') GEMM (fold_history) then has at most
 # 2**14 * 17 multiply-adds, which OpenBLAS 0.3.31 runs on one thread (it
 # split GEMMs of 435k multiply-adds and more over two threads, which ran
 # 20-100x slower while the other CPU was busy), so two ranking processes
 # do not run four BLAS threads on two CPUs, and each intermediate
-# (128 KB) stays in cache. Against one fresh
+# (128 KB) stays in cache. The same budget caps the users x candidates x
+# 2d sums a group's block pools (block_rows). Where even one candidate
+# exceeds it against a group's shared history (more than BLOCK / max(d, d')
+# rows, as at ML-1M's shape), _block_chain runs the chain over the history
+# in runs of rows within it and pools once. Without the runs, ranking two
+# ML-1M-shaped groups of 1131 users (NAIS, 2 CPUs) took 8.5 s serially and
+# 30.8 s with 2 workers, whose 1 x 17 @ 17 x 59296 products each went to
+# two BLAS threads (5.9 s with OPENBLAS_NUM_THREADS=1); with the runs,
+# 10.6 s and 6.1 s. Against one fresh
 # block of all 150 items, on the benchmark's `long` workload (FLA_NAIS
 # Design 2, median history 39; 2 CPUs, OpenBLAS 0.3.31), medians of 10
 # runs: pooled ranking 131 -> 347 users/s, serial 380 -> 440 users/s.
@@ -182,7 +199,8 @@ BLOCK = 2**14
 
 
 def block_rows(config: ModelConfig, m: int, n_items: int) -> int:
-    """Candidates per ranking block for a history of m items.
+    """Candidates per ranking block for m rows: a history's length, or for
+    a group the larger of its shared history's length and its user count.
 
     FISM, which sums the history first (O(n d) for n items), and an empty
     history's constant score take all n_items in one block; an attentive
@@ -231,14 +249,14 @@ def fold_history(
     Q_hist: np.ndarray,
     workspace: BlockWorkspace | None = None,
 ) -> np.ndarray | None:
-    """The PROD hidden layer folded over one user's history, for ranking.
+    """The PROD hidden layer folded over the history rows Q_hist, for ranking.
 
     Row j d' + k of Wq is (q_j * W_k, b_k) (m d' x d+1), so a block's
     pre-activations, bias included, are one GEMM, [p, 1] @ Wq.T
-    (hidden_prod). Built once per user, it serves every block of that
-    user's items; with a workspace it is written into the workspace's "Wq"
-    buffer. None where a block needs no fold: FISM, CONCAT and an empty
-    history.
+    (hidden_prod). Built once per group of users over the history rows
+    they share, it serves every block of items; with a workspace it is
+    written into the workspace's "Wq" buffer. None where a block needs no
+    fold: FISM, CONCAT and an empty history.
     """
     m, d = Q_hist.shape
     if config.model_kind is ModelKind.FISM or config.attention_mode is AttentionMode.CONCAT or m == 0:
@@ -254,12 +272,13 @@ def fold_history(
 def forward_block(
     config: ModelConfig,
     params: ParameterSet,
-    user: int,
+    user: int | np.ndarray,
     target: int | slice | np.ndarray,
     p: np.ndarray,
     Q_hist: np.ndarray,
     workspace: BlockWorkspace | None = None,
     Wq: np.ndarray | None = None,
+    ind=None,
 ) -> ForwardCache:
     """Forward pass of config's kind for one user: one target, or a block of them.
 
@@ -271,24 +290,28 @@ def forward_block(
     and ranking a block of items (_block_chain); a candidate's score in a
     block equals its one-target score up to rounding.
 
-    For a block, Wq is the user's fold_history (built here when not
-    given), and with a workspace every candidate x history intermediate
-    is written into its buffers, so the cache's fields are valid only
-    until the next block run on it; the score is always a fresh array,
-    bitwise equal to the one computed without a workspace.
+    A block may score a group of g users at once: ind, a g x m CSR
+    indicator with no empty row, marks each user's own rows of Q_hist,
+    user is the users as a column (g x 1) and the score is g x c. Without
+    ind the block is one user's, whose history is every row. Wq is
+    fold_history of Q_hist (built here when not given), and with a
+    workspace every candidate x history intermediate is written into its
+    buffers, so the cache's fields are valid only until the next block
+    run on it; the score is always a fresh array, bitwise equal to the
+    one computed without a workspace.
     """
     m = Q_hist.shape[0]
     tower = config.deep_layers is not None
     bias = params.b_user[user] + params.b_item[target] if tower else None
     if m == 0:
         return ForwardCache(config, score=np.zeros(p.shape[:-1]) if bias is None else bias, empty=True)
-    if config.model_kind is ModelKind.FISM:
-        # one target sums the m products, as training always has; a block
-        # sums the history first, O(c d) instead of O(c m d)
-        summed = (Q_hist @ p).sum() if p.ndim == 1 else p @ Q_hist.sum(axis=0)
-        return ForwardCache(config, score=m ** (-config.alpha) * summed)
     if p.ndim == 2:
-        return _block_chain(config, params, p, Q_hist, workspace or BlockWorkspace(), Wq, bias)
+        cache = _block_chain(config, params, p, Q_hist, ind, workspace or BlockWorkspace(), Wq, bias)
+        if ind is None:
+            cache.score = cache.score[0]
+        return cache
+    if config.model_kind is ModelKind.FISM:
+        return ForwardCache(config, score=m ** (-config.alpha) * (Q_hist @ p).sum())
 
     cache = ForwardCache(config=config)
     if config.attention_mode is AttentionMode.CONCAT:
@@ -324,57 +347,118 @@ def _block_chain(
     params: ParameterSet,
     p: np.ndarray,
     Q_hist: np.ndarray,
+    ind,
     ws: BlockWorkspace,
     Wq: np.ndarray | None,
     bias: np.ndarray | None,
 ) -> ForwardCache:
-    """The attentive chain for a block of c candidates, without X.
+    """A block of c candidates for a group of users, without X or weights.
 
-    Every kind pools one c x d term, u_c = sum_j A_cj * q_j, with A its
-    weights: the item weights (u = w @ Q_hist), Design 1's w * row
-    softmax (one factor w / row sum per row, _row_softmax), or Design 2's
-    exps, whose pooled sum is divided by denom ** beta once per feature.
-    The sum head is then p . u and the tower reads e = p * u, both equal
-    to the one-target head on X_j = p * q_j. The block's intermediates are
-    c x m x d' (Z, R) and c x m x d (feature logits, exps, weights), all
-    in ws.
+    ind is the group's g x m CSR history indicator over the rows of
+    Q_hist, or None for one user whose history is every row. FISM scores
+    the group as m_u ** -alpha (ind @ Q_hist) @ p.T. An attentive kind
+    computes each (candidate, history item) pair term once (_pair_terms),
+    then pools it per user: a numerator sum_j T_j and a denominator
+    sum_j B_j, and pooled = num / den ** beta.
+    - NAIS, DeepICF: B is the item exps, T the exps times q_j.
+    - Design 1: B is the item exps, T its row softmax scaled by those
+      exps (_row_softmax) times q_j.
+    - Design 2: B is the column exps, one per feature, T those times q_j.
+    A sum head whose denominator is one per (user, candidate), NAIS and
+    Design 1, folds p into the numerator first, so T is one column
+    (T_j . p) and pooled is the score; otherwise the sum head is p . pooled
+    and the tower reads e = p * pooled, both equal to the one-target head
+    on X_j = p * q_j. The terms are written history-major, m x c x k,
+    into one workspace buffer (_write_pairs), so one sparse product by ind
+    pools them all, or for one user one sum over the rows. The chain runs
+    over the history rows in runs that keep its c x run x d' (Z, R) and
+    c x run x d (feature logits and exps) intermediates within BLOCK
+    elements, so a group's long shared history keeps every BLAS call on
+    one thread; the cache's pair fields hold the last run's.
     """
-    cm = (p.shape[0], Q_hist.shape[0])
-    cm1, cmd, cmdp = cm + (1,), cm + (Q_hist.shape[1],), cm + (params.W.shape[0],)
+    if config.model_kind is ModelKind.FISM:
+        if ind is None:  # one user: sum the history first, O(c d) instead of O(c m d)
+            summed = p @ Q_hist.sum(axis=0)
+            return ForwardCache(config, score=(Q_hist.shape[0] ** (-config.alpha) * summed)[None])
+        m_u = np.diff(ind.indptr)
+        return ForwardCache(config, score=(m_u ** (-config.alpha))[:, None] * ((ind @ Q_hist) @ p.T))
+    c, (m, d) = p.shape[0], Q_hist.shape
+    d_prime = params.W.shape[0]
+    if Wq is None and config.attention_mode is AttentionMode.PROD:
+        Wq = fold_history(config, params, Q_hist, ws)
+    tower = config.deep_layers is not None
+    kd = d if config.feature_attention and not config.item_attention else 1
+    kn = d if tower or kd > 1 else 1
+    pair = ws.take("pair", (m, c, kn + kd))
+    run = max(1, BLOCK // (c * max(d, d_prime)))  # history rows per pass of the chain
+    for lo in range(0, m, run):
+        rows = slice(lo, lo + run)
+        Wq_rows = None if Wq is None else Wq[lo * d_prime:(lo + run) * d_prime]
+        cache, terms, den = _pair_terms(config, params, p, Q_hist[rows], ws, Wq_rows)
+        _write_pairs(terms, den, Q_hist[rows], p, kn, pair[rows], ws)
+    pair = pair.reshape(m, -1)
+    # one user's indicator is one all-ones row: its product adds the rows in order, as sum does
+    sums = (pair.sum(axis=0) if ind is None else ind @ pair).reshape(-1, c, kn + kd)
+    pooled = sums[..., :kn] / sums[..., kn:] ** config.beta
+
+    if tower:
+        cache.e = (p * pooled).reshape(-1, d)
+        cache.score = deep_tower(cache, cache.e, params).reshape(-1, c) + bias
+    elif kn == 1:
+        cache.score = pooled[..., 0]
+    else:
+        cache.score = np.einsum("gct,ct->gc", pooled, p)
+    return cache
+
+
+def _pair_terms(
+    config: ModelConfig,
+    params: ParameterSet,
+    p: np.ndarray,
+    Q_hist: np.ndarray,
+    ws: BlockWorkspace,
+    Wq: np.ndarray | None,
+) -> tuple[ForwardCache, np.ndarray, np.ndarray]:
+    """The chain of _block_chain over history rows Q_hist (Wq their fold):
+    the cache of its intermediates, and each pair's weight terms and
+    denominator terms (c x m x k)."""
+    c, (m, d) = p.shape[0], Q_hist.shape
+    cm1, cmd, cmdp = (c, m, 1), (c, m, d), (c, m, params.W.shape[0])
     cache = ForwardCache(config=config)
     out = (ws.take("Z", cmdp), ws.take("R", cmdp))
     if config.attention_mode is AttentionMode.CONCAT:
         cache.Z, cache.R = hidden_concat(p, Q_hist, params.W, params.b, out)
     else:
-        if Wq is None:
-            Wq = fold_history(config, params, Q_hist, ws)
         _, cache.Z, cache.R = hidden_prod(p, Q_hist, params.W, params.b, out, Wq)
 
     if config.item_attention:
         cache.item_logits = np.matmul(cache.R, params.h[:, None], out=ws.take("item_logits", cm1))
-        out = (ws.take("item_exp", cm1), ws.take("item_weights", cm1))
-        cache.item = _smoothed_parts(cache.item_logits, config.beta, out, bound=ws.item_bound)
+        cache.item = _smoothed_parts(cache.item_logits, config.beta, (ws.take("item_exp", cm1), None),
+                                     weights=False, bound=ws.item_bound)
+        terms = den = cache.item.exp
     if config.feature_attention:
         cache.a_hat = ws.take("a_hat", cmd)  # one GEMM, faster than c batched ones at small m
-        np.matmul(cache.R.reshape(-1, cmdp[-1]), params.H, out=cache.a_hat.reshape(-1, cmd[-1]))
+        np.matmul(cache.R.reshape(-1, cmdp[-1]), params.H, out=cache.a_hat.reshape(-1, d))
         if config.item_attention:
-            cache.A = _row_softmax(cache.a_hat, ws.take("A", cmd), cache.item.weights, ws.feature_bound)
-            pooled = np.einsum("cjt,jt->ct", cache.A, Q_hist)
+            terms = cache.A = _row_softmax(cache.a_hat, ws.take("A", cmd), den, ws.feature_bound)
         else:
-            out = (ws.take("col_exp", cmd), None)
-            cache.cols = _col_smoothed_parts(cache.a_hat, config.beta, out, weights=False,
-                                             bound=ws.feature_bound)
-            pooled = np.einsum("cjt,jt->ct", cache.cols.exp, Q_hist)
-            pooled /= cache.cols.denom ** config.beta
-    else:
-        pooled = cache.item.weights[..., 0] @ Q_hist
+            cache.cols = _col_smoothed_parts(cache.a_hat, config.beta, (ws.take("col_exp", cmd), None),
+                                             weights=False, bound=ws.feature_bound)
+            terms = den = cache.cols.exp
+    return cache, terms, den
 
-    if config.deep_layers is not None:
-        cache.e = p * pooled
-        cache.score = deep_tower(cache, cache.e, params) + bias
-    else:
-        cache.score = np.einsum("ct,ct->c", p, pooled)
-    return cache
+
+def _write_pairs(terms, den, Q_hist, p, kn, pair, ws):
+    """A group's pair terms history-major into pair (m x c x k): the
+    numerator's kn columns, times q_j (and p where kn is 1), then den."""
+    if kn == 1 and terms.shape[-1] == 1:  # NAIS: exps times p . q_j
+        np.multiply(terms[..., 0].T, Q_hist @ p.T, out=pair[..., 0])
+    elif kn == 1:  # Design 1: sum_t A_t q_jt p_t
+        np.einsum("cjt,jt,ct->jc", terms, Q_hist, p, out=pair[..., 0])
+    else:  # multiplied into a contiguous buffer, then transposed: faster than one strided pass
+        T = np.multiply(terms, Q_hist, out=ws.take("T", terms.shape[:2] + Q_hist.shape[1:]))
+        pair[..., :kn] = T.transpose(1, 0, 2)
+    pair[..., kn:] = den.transpose(1, 0, 2)
 
 
 def forward_cache(

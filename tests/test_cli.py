@@ -1,5 +1,6 @@
 """End-to-end command tests on synthetic data, driven through main(argv)."""
 
+import argparse
 import json
 import re
 import warnings
@@ -219,6 +220,16 @@ def test_every_flag_parses_under_every_command(command):
     assert {key: getattr(args, key) for key in RUN_KEYS} == {key: f"v_{key}" for key in RUN_KEYS}
     unset = parser.parse_args([command])
     assert unset.config is None and all(getattr(unset, key) is None for key in RUN_KEYS)
+
+
+def test_main_parses_every_call_with_one_parser(tmp_path, monkeypatch, capsys):
+    seen = []
+    real_parse = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *args, **kwargs: seen.append(self) or real_parse(self, *args, **kwargs))
+    for _ in range(2):
+        assert main(["evaluate", "--data_dir", str(tmp_path / "nowhere"), "--baseline", "POP"]) == 3
+    assert len(seen) == 2 and seen[0] is seen[1] is build_parser()
 
 
 def test_missing_data_dir_is_io_error(tmp_path, capsys):

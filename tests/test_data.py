@@ -616,3 +616,7 @@ def test_scale_probe_builds_its_history_split(monkeypatch):
         assert [items.size for items in view.items_by_user] == [size, size]
     for u in range(2):
         assert np.intersect1d(split.train.items_by_user[u], split.test.items_by_user[u]).size == 0
+    # the full-split ranking cells, on this tiny split
+    seconds, spread = probe.time_full_passes(split, 2, 0)
+    assert set(seconds) == set(spread) == {f"{k}.{mode}" for k, _ in probe.KINDS for mode in ("serial", "pool2")}
+    assert all(lo <= seconds[cell] <= hi for cell, (lo, hi) in spread.items())

@@ -11,8 +11,9 @@ import pytest
 
 from flaicf import evaluation, predictors
 from flaicf.attention import NonFiniteError, hidden_concat, hidden_prod, ranking_bounds
+from flaicf.cli import main
 from flaicf.config import DEEP_KINDS, AttentionMode, ConfigError, Design, ModelConfig, ModelKind
-from flaicf.data import split_per_user
+from flaicf.data import save_split, split_per_user
 from flaicf.evaluation import (
     MetricsRecord,
     baseline_scores,
@@ -23,6 +24,7 @@ from flaicf.evaluation import (
     ndcg_at_n,
     rank_items,
 )
+from flaicf.params import save_checkpoint
 from flaicf.predictors import (
     BlockWorkspace,
     PredictionContext,
@@ -370,12 +372,13 @@ def long_history_split():
 def test_blocked_scorer_matches_one_block(cfg):
     split = long_history_split()
     params = random_params(cfg, 400, 6, seed=44, scale=0.3)
-    scorer = model_scorer(params, cfg, split)
+    scorer = model_scorer(params, cfg, split, users=np.arange(6))
+    # the group's blocks are sized for the union of its histories
+    rows = block_rows(cfg, np.unique(split.train.items).size, 400)
+    # three blocks or more; FISM sums the history first and takes one
+    assert rows == 400 if cfg.model_kind is ModelKind.FISM else rows <= 400 // 3
     for user in range(6):
         hist = split.train.items_by_user[user]
-        rows = block_rows(cfg, hist.size, 400)
-        # three blocks or more; FISM sums the history first and takes one
-        assert rows == 400 if cfg.model_kind is ModelKind.FISM else rows <= 400 // 3
         whole = forward_block(cfg, params, user, slice(None), params.P, params.Q[hist]).score
         blocked = scorer(user)
         np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=0.0)
@@ -422,6 +425,63 @@ def test_a_scorer_with_a_split_scores_each_candidate_once(cfg, monkeypatch):
         np.testing.assert_array_equal(np.concatenate(blocks), np.flatnonzero(keep))
 
 
+@pytest.mark.parametrize("cfg", SCORER_CONFIGS[:2], ids=config_id)
+def test_a_group_scores_each_item_once(cfg, monkeypatch):
+    split = long_history_split()
+    params = random_params(cfg, 400, 6, seed=50, scale=0.3)
+    blocks = []
+    original = evaluation._score_chunk
+    monkeypatch.setattr(evaluation, "_score_chunk", lambda *args: blocks.append(args[3]) or original(*args))
+    scorer = model_scorer(params, cfg, split, on="test", users=np.arange(6))
+    for user in range(6):
+        keep = np.ones(400, dtype=bool)
+        keep[evaluation._excluded_for(split, "test", user)] = False
+        np.testing.assert_array_equal(np.isfinite(scorer(user)), keep)
+    # one pass for the whole group: its blocks cover every item exactly once
+    np.testing.assert_array_equal(np.concatenate(blocks), np.arange(400))
+
+
+def shared_history_split():
+    """6 users with 60-80 of the same 100 of 400 items: histories overlap past SHARED."""
+    rng = np.random.default_rng(45)
+    by_user = {u: rng.choice(100, size=int(rng.integers(60, 81)), replace=False).tolist() for u in range(6)}
+    return split_per_user(make_dataset(by_user, 400), seed=8)
+
+
+def test_a_run_of_users_that_shares_little_is_cut_into_single_users():
+    for split, one_pass in ((shared_history_split(), True), (long_history_split(), False)):
+        users = evaluation._eval_users(split, "test")
+        summed, union = split.train.items.size, np.unique(split.train.items).size
+        assert (summed >= evaluation.SHARED * union) is one_pass
+        groups = evaluation._groups(split, users)
+        assert [group.size for group in groups] == ([6] if one_pass else [1] * 6)
+        np.testing.assert_array_equal(np.concatenate(groups), users)
+        # users ranked one at a time are dealt out to every worker
+        assert len(evaluation._shares(split, users, 2)) == (1 if one_pass else 2)
+
+
+@pytest.mark.parametrize("cfg", SCORER_CONFIGS[1:], ids=config_id)
+def test_a_block_chain_over_history_runs_equals_one_run(cfg, monkeypatch):
+    split = shared_history_split()
+    params = random_params(cfg, 400, 6, seed=53, scale=0.3)
+    users = np.arange(6)
+    whole = model_scorer(params, cfg, split, "test", users=users)
+    rows = [whole(user) for user in users.tolist()]
+    runs = []
+    original = predictors._pair_terms
+    monkeypatch.setattr(predictors, "_pair_terms",
+                        lambda *args: runs.append(args[3].shape[0]) or original(*args))
+    # one candidate per block, and its chain over runs of at most 32 history rows
+    monkeypatch.setattr(predictors, "BLOCK", 32 * max(params.W.shape[0], cfg.d))
+    union = np.unique(split.train.items).size
+    assert predictors.block_rows(cfg, union, 400) == 1
+    short = model_scorer(params, cfg, split, "test", users=users)
+    for user, row in zip(users.tolist(), rows):
+        np.testing.assert_allclose(short(user), row, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(top10(short(user)), top10(row))
+    assert 1 < max(runs) < union and sum(runs) == 400 * union
+
+
 def test_a_user_with_no_candidate_scores_nothing():
     every = np.arange(6)
     parts = [make_dataset({0: items, 1: [0]}, 6) for items in (every, [], [])]
@@ -437,10 +497,10 @@ def test_candidate_ranking_gives_the_full_rankings_metrics_with_any_worker_count
     split = long_history_split()
     real_scorer = evaluation.model_scorer
 
-    def candidates_only(params, config, split, on=None):
+    def candidates_only(params, config, split, on=None, users=None):
         # raised in a forked child too, and sent back to this process
         assert on is not None, "evaluate_model scored the whole catalogue"
-        return real_scorer(params, config, split, on)
+        return real_scorer(params, config, split, on, users)
 
     for cfg in SCORER_CONFIGS:
         params = random_params(cfg, 400, 6, seed=52, scale=0.3)
@@ -496,6 +556,98 @@ def test_fism_ranks_a_user_in_one_block(monkeypatch):
         scorer(user)
     assert len(calls) == 6
     assert all(np.array_equal(args[3], np.arange(400)) for args in calls)
+
+
+def test_fism_ranks_a_group_in_one_block(monkeypatch):
+    """FISM sums each history once and scores every item of a group in one O(n d) product."""
+    cfg = SCORER_CONFIGS[0]
+    assert cfg.model_kind is ModelKind.FISM
+    split = long_history_split()
+    params = random_params(cfg, 400, 6, seed=46, scale=0.3)
+    calls = []
+    original = evaluation._score_chunk
+    monkeypatch.setattr(evaluation, "_score_chunk", lambda *args: calls.append(args) or original(*args))
+    scorer = model_scorer(params, cfg, split, users=np.arange(6))
+    for user in range(6):
+        scorer(user)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0][3], np.arange(400))
+
+
+def top10(scores):
+    return np.argsort(-scores, kind="stable")[:10]
+
+
+@pytest.mark.parametrize("per_group", [None, 2, 3], ids=["one-group", "2-users", "3-users"])
+@pytest.mark.parametrize("cfg", SCORER_CONFIGS, ids=config_id)
+def test_a_group_row_equals_the_users_own_row(cfg, per_group, monkeypatch):
+    monkeypatch.setattr(evaluation, "SHARED", 1)  # runs are groups, however little the histories overlap
+    split = long_history_split()
+    params = random_params(cfg, 400, 6, seed=70, scale=0.3)
+    if per_group is not None:
+        monkeypatch.setattr(evaluation, "GROUP_SCORES", per_group * 400 + 1)
+    users = evaluation._eval_users(split, "test")
+    groups = evaluation._groups(split, users)
+    assert [group.size for group in groups] == ([6] if per_group is None else [per_group] * (6 // per_group))
+    alone = model_scorer(params, cfg, split, "test")
+    for group in groups:
+        scorer = model_scorer(params, cfg, split, "test", users=group)
+        for user in group.tolist():
+            grouped, own = scorer(user), alone(user)
+            np.testing.assert_array_equal(np.isfinite(grouped), np.isfinite(own))
+            np.testing.assert_allclose(grouped, own, rtol=1e-12, atol=0.0)
+            np.testing.assert_array_equal(top10(grouped), top10(own))
+
+
+@pytest.mark.parametrize("cfg", SCORER_CONFIGS, ids=config_id)
+def test_a_group_with_an_empty_history_and_no_candidates(cfg):
+    # user 0 trained on every item, user 1 on none; users 2 and 3 are ordinary
+    parts = (make_dataset({0: range(6), 1: [], 2: [1, 4], 3: [0, 2, 5]}, 6),
+             make_dataset({3: [1]}, 6), make_dataset({1: [3], 2: [0], 3: [4]}, 6))
+    split = evaluation.SplitDataset(*parts, ratios=(0.8, 0.1, 0.1), seed=0)
+    params = random_params(cfg, 6, 4, seed=71)
+    fallback = params.b_user[1] + params.b_item if cfg.model_kind in DEEP_KINDS else np.zeros(6)
+    for on in ("valid", "test"):
+        scorer = model_scorer(params, cfg, split, on, users=np.arange(4))
+        np.testing.assert_array_equal(scorer(0), np.full(6, -np.inf))
+        np.testing.assert_array_equal(scorer(1), fallback)
+        for user in (2, 3):
+            own = model_scorer(params, cfg, split, on)(user)
+            np.testing.assert_array_equal(np.isfinite(scorer(user)), np.isfinite(own))
+            np.testing.assert_allclose(scorer(user), own, rtol=1e-12, atol=0.0)
+
+
+def test_an_empty_user_set_scores_nothing(monkeypatch):
+    split = split_per_user(make_dataset({0: [0, 1], 1: [1, 2]}, 3), seed=0)  # no validation part
+    cfg = SCORER_CONFIGS[4]
+    params = random_params(cfg, 3, 2, seed=72)
+    monkeypatch.setattr(evaluation, "model_scorer", None)  # any call would fail
+    for workers in (1, 2):
+        assert evaluate_model(params, cfg, split, "valid", workers=workers).users_evaluated == 0
+    assert evaluation._shares(split, evaluation._eval_users(split, "valid"), 2) == []
+
+
+@pytest.mark.parametrize("shared", [1, evaluation.SHARED], ids=["one-pass", "rule"])
+@pytest.mark.parametrize("cfg", SCORER_CONFIGS, ids=config_id)
+def test_records_and_eval_files_are_equal_for_every_worker_count(cfg, shared, monkeypatch, tmp_path):
+    monkeypatch.setattr(evaluation, "GROUP_SCORES", 2 * 400)  # three groups of two users
+    monkeypatch.setattr(evaluation, "SHARED", shared)
+    split = long_history_split()
+    params = random_params(cfg, 400, 6, seed=73, scale=0.3)
+    save_split(split, tmp_path / "prep")
+    save_checkpoint(params, cfg, tmp_path / "model.ckpt")
+    records, files = [], []
+    for workers in (1, 2, 3):
+        records.append(evaluate_model(params, cfg, split, "test", workers=workers))
+        out = tmp_path / f"eval{workers}"
+        assert main(["evaluate", "--data_dir", str(tmp_path / "prep"), "--checkpoint",
+                     str(tmp_path / "model.ckpt"), "--split", "test", "--eval_workers", str(workers),
+                     "--out_dir", str(out)]) == 0
+        files.append(next(out.glob("eval_*_test.json")).read_bytes())
+        assert_no_child_left()
+    assert records[0].users_evaluated == 6
+    assert records[1:] == records[:1] * 2
+    assert files[1:] == files[:1] * 2
 
 
 # ------------------------------------------------------- dead hidden units
@@ -734,6 +886,7 @@ def test_forks_are_capped_at_the_share_count(monkeypatch, forks):
     cfg = ModelConfig(model_kind=ModelKind.NAIS, d=4, d_prime=4)
     split = split_per_user(random_dataset(43, n_users=6, n_items=12, min_items=4), seed=7)
     params = random_params(cfg, 12, 6, seed=44, scale=0.2)
+    monkeypatch.setattr(evaluation, "GROUP_SCORES", 12)  # groups of one user
     cut = []
     real_shares = evaluation._shares
     monkeypatch.setattr(evaluation, "_shares", lambda *args: cut.append(real_shares(*args)) or cut[-1])
@@ -743,18 +896,19 @@ def test_forks_are_capped_at_the_share_count(monkeypatch, forks):
     assert_no_child_left()
     shares = cut[-1]
     # 6 users make at most 6 shares: this process ranks one, 5 children the rest
-    assert len(forks) == len(shares) - 1 <= 5
-    assert all(share.size for share in shares)
-    np.testing.assert_array_equal(np.concatenate(shares), evaluation._eval_users(split, "test"))
+    assert len(forks) == len(shares) - 1 == 5
+    assert all(shares)
+    np.testing.assert_array_equal(np.concatenate(sum(shares, [])), evaluation._eval_users(split, "test"))
     assert (pooled.hr, pooled.ndcg, pooled.users_evaluated) == (serial.hr, serial.ndcg, 6)
 
 
-def test_shares_are_contiguous_cover_every_user_and_balance_the_history():
+def test_shares_are_contiguous_cover_every_user_and_balance_the_history(monkeypatch):
+    monkeypatch.setattr(evaluation, "GROUP_SCORES", 200)  # groups of one user at 200 items
     for seed, n_users, workers in ((1, 1, 1), (2, 2, 5), (3, 7, 3), (4, 30, 2), (5, 30, 7), (6, 9, 9)):
         split = split_per_user(random_dataset(seed, n_users=n_users, n_items=200, min_items=3,
                                               max_items=150), seed=seed)
         users = evaluation._eval_users(split, "test")
-        shares = evaluation._shares(split, users, workers)
+        shares = [np.concatenate(share) for share in evaluation._shares(split, users, workers)]
         assert len(shares) == min(workers, users.size)
         assert all(share.size for share in shares)
         np.testing.assert_array_equal(np.concatenate(shares), users)
@@ -762,6 +916,20 @@ def test_shares_are_contiguous_cover_every_user_and_balance_the_history():
         if len(shares) == 2:  # the cut falls on the user whose history crosses the middle
             heaviest = max(split.train.items_by_user[u].size + 1 for u in users)
             assert abs(weights[0] - weights[1]) < 2 * heaviest
+
+
+def test_shares_are_runs_of_whole_groups(monkeypatch):
+    monkeypatch.setattr(evaluation, "GROUP_SCORES", 3 * 200)  # groups of three users
+    monkeypatch.setattr(evaluation, "SHARED", 1)
+    split = split_per_user(random_dataset(5, n_users=30, n_items=200, min_items=3, max_items=150), seed=5)
+    users = evaluation._eval_users(split, "test")
+    groups = evaluation._groups(split, users)
+    assert [group.size for group in groups] == [3] * 10
+    for workers in (2, 3, 7, 10, 40):
+        shares = evaluation._shares(split, users, workers)
+        assert len(shares) == min(workers, 10) and all(shares)
+        # the shares, in order, hold the groups of the whole user list
+        assert all(np.array_equal(a, b) for a, b in zip(sum(shares, []), groups, strict=True))
 
 
 def test_parallel_evaluation_matches_serial():
@@ -788,7 +956,9 @@ def failure_case():
 
 
 def rank_users_where(monkeypatch, parent_share, child_share):
-    """Replace rank_users with parent_share() in this process, child_share() in forked children."""
+    """Replace rank_users with parent_share() in this process, child_share() in forked children,
+    and rank failure_case's users in groups of two, so up to 5 workers all get a share."""
+    monkeypatch.setattr(evaluation, "GROUP_SCORES", 2 * 20)
     parent = os.getpid()
     monkeypatch.setattr(
         evaluation, "rank_users",
