@@ -36,7 +36,10 @@ ranking costs. The probe therefore also ranks every test user of that
 prepared ML-1M-shaped split (6040 users) with random parameters drawn as
 above, for each kind, serially and with 2 workers, --reps times with no
 warm-up (one pass takes tens of seconds), and reports the median pass in
-seconds with the fastest and the slowest beside it.
+seconds with the fastest and the slowest beside it. It also runs one
+serial NAIS pass of that split, as `flaicf evaluate` of a checkpoint of
+such parameters, in a fresh Python process, and reports how far it raised
+that process's peak resident set (VmHWM, as for `prepare`), in MB.
 
 Nothing is trained and nothing is kept but BENCH_scale_<label>.json at
 the root of the checkout, which also holds the commit and the machine
@@ -65,7 +68,7 @@ from flaicf.cli import main as flaicf_main  # noqa: E402
 from flaicf.config import ModelConfig  # noqa: E402
 from flaicf.data import InteractionDataset, SplitDataset, load_split  # noqa: E402
 from flaicf.evaluation import evaluate_model  # noqa: E402
-from flaicf.params import array_shapes, init_parameters  # noqa: E402
+from flaicf.params import array_shapes, init_parameters, save_checkpoint  # noqa: E402
 from generate import K_CORE, Shape, generate  # noqa: E402  (bench/generate.py)
 from run import machine  # noqa: E402  (bench/run.py)
 
@@ -111,8 +114,8 @@ def random_parameters(config: ModelConfig, users: int, seed: int, items: int = I
     return params
 
 
-# Run in a fresh interpreter: flaicf prepare with the given arguments, then
-# print the MB by which it raised the peak resident set.
+# Run in a fresh interpreter: flaicf with the given arguments, then print
+# the MB by which it raised the peak resident set.
 PEAK_RSS_PROGRAM = """
 import contextlib, io, sys
 sys.path.insert(0, sys.argv[1])
@@ -130,19 +133,33 @@ sys.exit(code)
 """
 
 
-def prepare_peak_rss_mb(argv: list[str]) -> float:
-    """MB by which `flaicf prepare` raises the peak RSS of a fresh process."""
+def peak_rss_mb(argv: list[str]) -> float:
+    """MB by which `flaicf <argv>` raises the peak RSS of a fresh process."""
     done = subprocess.run([sys.executable, "-c", PEAK_RSS_PROGRAM, str(ROOT / "src"), *argv],
                           capture_output=True, text=True)
     if done.returncode != 0:
-        raise SystemExit(f"flaicf prepare exited with {done.returncode}: {done.stderr.strip()}")
+        raise SystemExit(f"flaicf {argv[0]} exited with {done.returncode}: {done.stderr.strip()}")
     return float(done.stdout.split()[-1])
 
 
-def time_prepare(reps: int) -> tuple[dict, SplitDataset]:
+def rank_peak_rss_mb(data_dir: Path, split: SplitDataset, seed: int) -> float:
+    """MB by which one serial NAIS ranking pass of the test users of the
+    split saved in data_dir (`flaicf evaluate` of a checkpoint of
+    random_parameters) raises the peak RSS of a fresh process."""
+    config = ModelConfig(d=D, beta=BETA, model_kind="NAIS")
+    params = random_parameters(config, split.train.user_count, seed, split.train.item_count)
+    with tempfile.TemporaryDirectory(prefix="scale_probe_rank_") as tmp:
+        save_checkpoint(params, config, Path(tmp) / "model.ckpt")
+        return peak_rss_mb(["evaluate", "--data_dir", str(data_dir), "--split", "test",
+                            "--checkpoint", str(Path(tmp) / "model.ckpt"), "--eval_workers", "1",
+                            "--out_dir", tmp])
+
+
+def time_prepare(reps: int, seed: int) -> tuple[dict, SplitDataset]:
     """Medians of reps `flaicf prepare` calls on the ML-1M-shaped raw file
-    and of reps `load_split` calls on their output, and the peak RSS that
-    one more `prepare` adds in a fresh process; and the split loaded."""
+    and of reps `load_split` calls on their output, the peak RSS that one
+    more `prepare` adds in a fresh process, and the peak RSS of one ranking
+    pass of the prepared split (rank_peak_rss_mb); and the split loaded."""
     with tempfile.TemporaryDirectory(prefix="scale_probe_") as tmp:
         gen = generate(ML1M_SHAPE, ML1M_SEED, Path(tmp))
         out = Path(tmp) / "prepared"
@@ -159,7 +176,8 @@ def time_prepare(reps: int) -> tuple[dict, SplitDataset]:
             start = time.perf_counter()
             split = load_split(out)
             load_s.append(time.perf_counter() - start)
-        peak_rss_mb = prepare_peak_rss_mb(argv)
+        prepare_rss_mb = peak_rss_mb(argv)
+        rank_rss_mb = rank_peak_rss_mb(out, split, seed)
     pairs = sum(part.interaction_count for part in (split.train, split.valid, split.test))
     core = (gen.core_users, gen.core_items, gen.core_interactions)
     if (split.train.user_count, split.train.item_count, pairs) != core:
@@ -173,7 +191,8 @@ def time_prepare(reps: int) -> tuple[dict, SplitDataset]:
         "statistic": "median of reps",
         "prepare_ms": 1e3 * statistics.median(prepare_s),
         "load_split_ms": 1e3 * statistics.median(load_s),
-        "prepare_peak_rss_mb": peak_rss_mb,
+        "prepare_peak_rss_mb": prepare_rss_mb,
+        "rank_peak_rss_mb": rank_rss_mb,
     }, split
 
 
@@ -220,10 +239,11 @@ def main(argv=None) -> int:
         parser.error("--users and --reps must be >= 1")
 
     started = time.perf_counter()
-    prepare, ml1m = time_prepare(args.reps)
+    prepare, ml1m = time_prepare(args.reps, args.seed)
     print(f"prepare {prepare['raw_lines']} lines {prepare['prepare_ms']:8.1f} ms "
           f"(peak RSS +{prepare['prepare_peak_rss_mb']:.1f} MB), "
-          f"load_split {prepare['load_split_ms']:7.1f} ms", flush=True)
+          f"load_split {prepare['load_split_ms']:7.1f} ms, "
+          f"NAIS ranking pass peak RSS +{prepare['rank_peak_rss_mb']:.1f} MB", flush=True)
     rng = np.random.default_rng(args.seed)
     splits = {m: history_split(m, args.users, rng) for m in HISTORIES}
     ms_per_user: dict[str, dict] = {}

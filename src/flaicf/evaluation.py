@@ -9,8 +9,9 @@ Users whose evaluated split is empty are skipped. A model scores the
 evaluated users in consecutive groups, each in one pass that computes
 every (candidate, history item) pair once for all its users
 (model_scorer); users whose histories overlap little are groups of one
-(_groups, SHARED). Worker processes rank runs of whole groups
-(evaluate_model).
+(_groups, SHARED). Users are ranked SORT_ROWS at a time, by one stable
+argsort of their scores, with hits and NDCG as arrays (rank_users).
+Worker processes rank runs of whole groups (evaluate_model).
 """
 
 from __future__ import annotations
@@ -46,8 +47,11 @@ GROUP_SCORES = 2**22
 # 1.4-1.7x as long as the users alone at overlap 1.1, 1.1-1.4x at 1.4,
 # 0.93-0.97x at 1.7, 0.77-0.81x at 2.2 and 0.37-0.45x at 3.2.
 SHARED = 2
-# Rows of the items x items similarity that ITEMKNN builds and truncates at a time.
-KNN_ROWS = 256
+# Rows of the users x items scores that ranking sorts at a time, and of the
+# items x items similarity that ITEMKNN builds and truncates at a time.
+SORT_ROWS = 256
+# The parts of a split whose items a ranking of valid or test cannot return.
+EXCLUDED = {"valid": ("train",), "test": ("train", "valid")}
 
 
 @dataclass
@@ -98,16 +102,30 @@ class RankingResult:
     ndcg: float
 
 
-def rank_items(scorer, user: int, excluded: np.ndarray, n: int) -> np.ndarray:
-    """Top-n item indices by score, excluded items removed, ties by index."""
-    scores = np.asarray(scorer(user), dtype=float)
-    candidates = np.arange(scores.size, dtype=np.int64)
-    if len(excluded):
-        mask = np.ones(scores.size, dtype=bool)
-        mask[np.asarray(excluded, dtype=np.int64)] = False
-        candidates = candidates[mask]
-    order = np.argsort(-scores[candidates], kind="stable")
-    return candidates[order[:n]]
+def rank_items(scorer, user, excluded, n: int) -> np.ndarray:
+    """Top-n item indices by score, excluded items removed, ties by index.
+
+    One user: excluded is an index array, and the result their top-n
+    (fewer if fewer items are left). An int array of users: excluded is a
+    users x items bool mask, and the result users x min(n, items), each
+    row a top-n padded with -1. The users' scorer rows get one stable
+    argsort, and each row keeps its first n positions not excluded. A
+    stable sort restricted to a subset keeps the subset's order, so a row
+    is the stable sort of that user's candidates alone: ties go to the
+    smaller index and NaN sorts last."""
+    one = np.ndim(user) == 0
+    scores = np.array([scorer(u) for u in np.atleast_1d(user).tolist()], dtype=float)
+    if one:
+        mask = np.zeros(scores.shape, dtype=bool)
+        mask[0, np.asarray(excluded, dtype=np.int64)] = True
+        excluded = mask
+    order = np.argsort(np.negative(scores, out=scores), axis=1, kind="stable")
+    keep = ~np.take_along_axis(excluded, order, axis=1)
+    place = np.cumsum(keep, axis=1, dtype=np.int32)  # each candidate's 1-based rank
+    rows, cols = np.nonzero(keep & (place <= n))
+    top = np.full((len(scores), min(n, scores.shape[1])), -1, dtype=np.int64)
+    top[rows, place[rows, cols] - 1] = order[rows, cols]
+    return top[0][top[0] >= 0] if one else top
 
 
 def hr_at_n(ranked: np.ndarray, test_items) -> float:
@@ -136,26 +154,47 @@ def _eval_users(split: SplitDataset, on: str) -> np.ndarray:
     return np.flatnonzero(np.diff(getattr(split, on).indptr))
 
 
-def _excluded_for(split: SplitDataset, on: str, user: int) -> np.ndarray:
-    train_items = split.train.items_by_user[user]
-    if on == "test":
-        return np.concatenate([train_items, split.valid.items_by_user[user]])
-    return train_items
+def _user_items(view, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's item count in a view, and their items concatenated (one gather)."""
+    starts = view.indptr[users]
+    sizes = view.indptr[users + 1] - starts
+    shift = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+    return sizes, view.items[shift + np.arange(shift.size)]
+
+
+def _item_mask(split: SplitDataset, parts, users: np.ndarray) -> np.ndarray:
+    """users x items, True at each item a user has in any of the split's parts (one scatter each)."""
+    mask = np.zeros((users.size, split.train.item_count), dtype=bool)
+    for part in parts:
+        sizes, items = _user_items(getattr(split, part), users)
+        mask[np.repeat(np.arange(users.size), sizes), items] = True
+    return mask
 
 
 def rank_users(scorer, split: SplitDataset, on: str = "test", n: int = 10, users=None):
-    """Yield a RankingResult for each user (default: every user with items in the split)."""
-    view = getattr(split, on)
-    for user in _eval_users(split, on) if users is None else users:
-        user = int(user)
-        held_out = view.items_by_user[user]
-        ranked = rank_items(scorer, user, _excluded_for(split, on, user), n)
-        yield RankingResult(
-            user=user,
-            ranked=ranked,
-            hit=bool(hr_at_n(ranked, held_out)),
-            ndcg=ndcg_at_n(ranked, held_out, n),
-        )
+    """Yield a RankingResult for each user (default: every user with items in the split).
+
+    Users are ranked SORT_ROWS at a time, one rank_items call per chunk.
+    Hits are the held-out mask read at the ranked items, HR their any.
+    DCG is a row-wise cumsum of hits times 1/log2(pos + 1), computed as
+    ndcg_at_n does, and IDCG the cumsum of the discounts at
+    min(n, |held-out|). A cumsum adds in position order and adding 0.0 is
+    exact, so hit and ndcg equal hr_at_n's and ndcg_at_n's bit for bit."""
+    users = _eval_users(split, on) if users is None else np.asarray(users, dtype=np.int64)
+    for lo in range(0, users.size, SORT_ROWS):
+        chunk = users[lo:lo + SORT_ROWS]
+        top = rank_items(scorer, chunk, _item_mask(split, EXCLUDED[on], chunk), n)
+        held = _item_mask(split, (on,), chunk)
+        count = held.sum(axis=1)
+        if not count.all():
+            raise ValueError("NDCG needs at least one held-out item")
+        disc = np.array([1.0 / math.log2(pos + 1.0) for pos in range(1, top.shape[1] + 1)])
+        hits = np.take_along_axis(held, top, axis=1) & (top >= 0)
+        dcg = np.cumsum(hits * disc, axis=1)[:, -1]
+        ndcg = dcg / np.cumsum(disc)[np.minimum(count, top.shape[1]) - 1]
+        for user, ranked, size, hit, gain in zip(chunk.tolist(), top, (top >= 0).sum(axis=1).tolist(),
+                                                 hits.any(axis=1).tolist(), ndcg.tolist()):
+            yield RankingResult(user=user, ranked=ranked[:size], hit=hit, ndcg=gain)
 
 
 def evaluate(scorer, split: SplitDataset, on: str = "test", n: int = 10) -> MetricsRecord:
@@ -198,7 +237,7 @@ def model_scorer(params: ParameterSet, config: ModelConfig, split: SplitDataset,
     item) pair is computed once per group, not once per user, and a score
     matches the instance forward pass up to rounding. With on (valid or
     test) the items a ranking of that split cannot return
-    (_excluded_for) read -inf: a group of one user never scores them, a
+    (EXCLUDED) read -inf: a group of one user never scores them, a
     larger group scores them with the rest; with on None every score is
     kept. A user with an empty history gets the kind's constant fallback.
     Every block writes its intermediates into one BlockWorkspace, made
@@ -241,14 +280,12 @@ def _score_group(config: ModelConfig, params: ParameterSet, split: SplitDataset,
     to -inf."""
     from scipy import sparse
 
-    hists = [split.train.items_by_user[user] for user in users.tolist()]
-    hist = np.concatenate(hists) if hists else np.empty(0, dtype=np.int64)
-    J, cols = np.unique(hist, return_inverse=True)  # the rows of Q the group shares
+    sizes, hist, J, cols = _group_history(split, users)
     n_items = params.P.shape[0]
     candidates = np.arange(n_items)
-    if on is not None and users.size == 1:
-        candidates = np.delete(candidates, _excluded_for(split, on, int(users[0])))
-    sizes = np.array([h.size for h in hists], dtype=np.int64)
+    excluded = None if on is None else _item_mask(split, EXCLUDED[on], users)
+    if excluded is not None and users.size == 1:
+        candidates = np.flatnonzero(~excluded[0])
     kept = sizes > 0
     scores = np.full((users.size, n_items), -np.inf)
     if not kept.all():  # the constant fallback of an empty history
@@ -272,10 +309,19 @@ def _score_group(config: ModelConfig, params: ParameterSet, split: SplitDataset,
                                                  Wq, ind)
         if not whole:
             scores[np.ix_(kept, candidates)] = part
-    if on is not None and users.size > 1:
-        for row, user in enumerate(users.tolist()):
-            scores[row, _excluded_for(split, on, user)] = -np.inf
+    if excluded is not None and users.size > 1:
+        scores[excluded] = -np.inf
     return scores
+
+
+def _group_history(split: SplitDataset, users: np.ndarray):
+    """Each user's history length, their histories concatenated, J the
+    sorted union of those items (the rows of Q they share) and each item's
+    column in J, from one gather and one scatter."""
+    sizes, hist = _user_items(split.train, users)
+    seen = np.zeros(split.train.item_count, dtype=bool)
+    seen[hist] = True
+    return sizes, hist, np.flatnonzero(seen), (np.cumsum(seen) - 1)[hist]
 
 
 def _live_units(params: ParameterSet, live: np.ndarray) -> ParameterSet:
@@ -356,9 +402,9 @@ def baseline_scores(kind: str, split: SplitDataset, seed: int = 0, knn_k: int | 
     # so the sparse product and the argsort's temporaries stay block-sized.
     sim = np.empty((n_items, n_items))
     left, right = normalized.T.tocsr(), normalized.tocsr()
-    for lo in range(0, n_items, KNN_ROWS):
-        rows = sim[lo:lo + KNN_ROWS]
-        (left[lo:lo + KNN_ROWS] @ right).toarray(out=rows)
+    for lo in range(0, n_items, SORT_ROWS):
+        rows = sim[lo:lo + SORT_ROWS]
+        (left[lo:lo + SORT_ROWS] @ right).toarray(out=rows)
         np.fill_diagonal(rows[:, lo:], 0.0)
         if knn_k < n_items:
             drop = np.argsort(-rows, axis=1, kind="stable")[:, knn_k:]
@@ -378,12 +424,11 @@ def _groups(split: SplitDataset, users: np.ndarray) -> list[np.ndarray]:
     least one), the last one shorter. A run is one group where its users'
     histories overlap (SHARED), and a group of one user each otherwise."""
     size = max(1, GROUP_SCORES // split.train.item_count)
-    by_user = split.train.items_by_user
     groups = []
     for lo in range(0, users.size, size):
         run = users[lo:lo + size]
-        hist = np.concatenate([by_user[user] for user in run.tolist()])
-        if run.size > 1 and hist.size < SHARED * np.unique(hist).size:
+        _, hist, J, _ = _group_history(split, run)
+        if run.size > 1 and hist.size < SHARED * J.size:
             groups += np.split(run, run.size)
         else:
             groups.append(run)

@@ -1,7 +1,9 @@
 """Desk-scale experiment harness for the bundled benchmark configurations.
 
 Runs are cached as JSON under the output directory, keyed by their full
-configuration, so interrupted sweeps resume instead of recomputing. The
+configuration and by a digest of the split they ran on (split_digest), so
+interrupted sweeps resume instead of recomputing, and a directory reused
+after the split changed trains again. The
 acceptance suite consumes the same cache; scripts/reproduce_*.py are thin
 wrappers around run_delicious and run_ml1m.
 """
@@ -14,6 +16,8 @@ import statistics
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .config import ModelConfig, ModelKind, TrainConfig
 from .data import atomic_open, load_split
 from .evaluation import baseline_scores, evaluate, evaluate_model
@@ -22,6 +26,13 @@ from .training import train, train_fism
 
 LR_GRID = (0.01, 0.001, 0.0001, 0.00001)
 SEEDS = (1, 2, 3)
+
+
+def split_digest(split) -> str:
+    """sha256 of a split's catalogue size and the CSR arrays of its three parts."""
+    arrays = [array for view in (split.train, split.valid, split.test) for array in (view.indptr, view.items)]
+    data = [str(split.train.item_count).encode()] + [np.asarray(a, dtype="<i8").tobytes() for a in arrays]
+    return hashlib.sha256(b"".join(data)).hexdigest()[:16]
 
 
 def _run_key(tag: str, settings: dict) -> str:
@@ -37,7 +48,7 @@ class RunCache:
     def get(self, tag: str, settings: dict) -> dict | None:
         path = self.root / f"{tag}_{_run_key(tag, settings)}.json"
         if path.exists():
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 return json.load(fh)
         return None
 
@@ -79,6 +90,7 @@ def train_and_test(
         "epochs": epochs,
         "patience": patience,
         "pretrain": pretrain,
+        "split": split_digest(split),
     }
     hit = cache.get(tag, settings)
     if hit is not None:
@@ -117,7 +129,8 @@ def _pretrained_embeddings(split, cache, tag, model_config: ModelConfig, train_c
     """FISM embeddings for initialization, checkpointed per configuration."""
     settings = {"model": "FISM", "d": model_config.d, "alpha": model_config.alpha,
                 "lr": train_config.learning_rate, "seed": train_config.seed,
-                "epochs": train_config.epochs, "patience": train_config.early_stop_patience}
+                "epochs": train_config.epochs, "patience": train_config.early_stop_patience,
+                "split": split_digest(split)}
     ckpt = cache.root / f"fism_{_run_key(tag + '_pre', settings)}.ckpt"
     if ckpt.exists():
         params, _ = load_checkpoint(ckpt)
@@ -128,7 +141,7 @@ def _pretrained_embeddings(split, cache, tag, model_config: ModelConfig, train_c
 
 
 def baseline_test_metrics(split, cache: RunCache, tag: str, baseline: str, seed: int = 1) -> dict:
-    settings = {"baseline": baseline, "seed": seed}
+    settings = {"baseline": baseline, "seed": seed, "split": split_digest(split)}
     hit = cache.get(tag, settings)
     if hit is not None:
         return hit

@@ -603,13 +603,18 @@ def test_load_split_reads_saved_files_in_bulk(tmp_path, monkeypatch):
                             getattr(split, name).items_by_user)
 
 
-def test_scale_probe_builds_its_history_split(monkeypatch):
-    """scripts/scale_probe.py builds datasets itself, so this runs its builder."""
+def load_scale_probe(monkeypatch):
     path = Path(__file__).resolve().parents[1] / "scripts" / "scale_probe.py"
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/ and bench/
     spec = importlib.util.spec_from_file_location("scale_probe", path)
     probe = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(probe)
+    return probe
+
+
+def test_scale_probe_builds_its_history_split(monkeypatch):
+    """scripts/scale_probe.py builds datasets itself, so this runs its builder."""
+    probe = load_scale_probe(monkeypatch)
     split = probe.history_split(3, 2, np.random.default_rng(0))
     for view, size in ((split.train, 3), (split.valid, 0), (split.test, 1)):
         assert view.user_count == 2 and view.item_count == probe.ITEMS
@@ -620,3 +625,11 @@ def test_scale_probe_builds_its_history_split(monkeypatch):
     seconds, spread = probe.time_full_passes(split, 2, 0)
     assert set(seconds) == set(spread) == {f"{k}.{mode}" for k, _ in probe.KINDS for mode in ("serial", "pool2")}
     assert all(lo <= seconds[cell] <= hi for cell, (lo, hi) in spread.items())
+
+
+def test_scale_probe_reads_the_peak_rss_of_a_ranking_pass_in_a_fresh_process(monkeypatch, tmp_path):
+    probe = load_scale_probe(monkeypatch)
+    split = probe.history_split(3, 2, np.random.default_rng(0))
+    save_split(split, tmp_path / "prep")
+    mb = probe.rank_peak_rss_mb(tmp_path / "prep", split, 0)
+    assert math.isfinite(mb) and mb >= 0.0

@@ -72,6 +72,87 @@ def test_rank_vs_brute_force_oracle():
         np.testing.assert_array_equal(ranked, expect)
 
 
+def one_user_rank_items(scorer, user, excluded, n):
+    """The oracle: one user's ranking as rank_items computed it before it sorted whole chunks."""
+    scores = np.asarray(scorer(user), dtype=float)
+    candidates = np.arange(scores.size, dtype=np.int64)
+    if len(excluded):
+        mask = np.ones(scores.size, dtype=bool)
+        mask[np.asarray(excluded, dtype=np.int64)] = False
+        candidates = candidates[mask]
+    order = np.argsort(-scores[candidates], kind="stable")
+    return candidates[order[:n]]
+
+
+def awkward_scores(rng, shape):
+    """Scores that are tied, integer-valued, NaN, +inf or -inf half of the time, normal otherwise."""
+    special = rng.choice([0.0, -0.0, 1.0, 2.0, 3.0, np.nan, np.inf, -np.inf], size=shape)
+    return np.where(rng.random(shape) < 0.5, special, rng.normal(size=shape))
+
+
+def awkward_split(seed, n_users=30, n_items=40):
+    """Each user's items cut at random into train, valid and test, any part possibly empty;
+    user 0 trained on every item."""
+    rng = np.random.default_rng(seed)
+    parts = [{u: [] for u in range(n_users)} for _ in range(3)]
+    for u in range(n_users):
+        items = rng.permutation(n_items)
+        lo, hi = np.sort(rng.integers(0, n_items + 1, size=2)) if u else (n_items, n_items)
+        for part, chosen in zip(parts, (items[:lo], items[lo:hi], items[hi:])):
+            part[u] = chosen.tolist()
+    split = evaluation.SplitDataset(*(make_dataset(part, n_items) for part in parts),
+                                    ratios=(0.7, 0.1, 0.2), seed=0)
+    return split, awkward_scores(rng, (n_users, n_items))
+
+
+def test_rank_items_ranks_a_chunk_row_by_row_as_one_user_is_ranked():
+    rng = np.random.default_rng(81)
+    table = awkward_scores(rng, (7, 40))
+    excluded = rng.random((7, 40)) < 0.3
+    excluded[0] = True  # no candidate
+    excluded[1, 1:] = True  # one candidate
+    excluded[2] = False  # every item a candidate
+    scorer = lambda user: table[user].copy()
+    for n in (1, 4, 10, 40, 45):
+        top = rank_items(scorer, np.arange(7), excluded, n)
+        assert top.shape == (7, min(n, 40)) and top.dtype == np.int64
+        for user in range(7):
+            expect = one_user_rank_items(scorer, user, np.flatnonzero(excluded[user]), n)
+            np.testing.assert_array_equal(top[user, :expect.size], expect)
+            assert (top[user, expect.size:] == -1).all()
+            alone = rank_items(scorer, user, np.flatnonzero(excluded[user]), n)
+            np.testing.assert_array_equal(alone, expect)
+            assert alone.dtype == expect.dtype
+
+
+@pytest.mark.parametrize("rows", [1, 4, 1000], ids=["1-row", "4-rows", "one-chunk"])
+@pytest.mark.parametrize("on", ["valid", "test"])
+def test_chunk_ranking_equals_the_one_user_oracle_bit_for_bit(on, rows, monkeypatch):
+    monkeypatch.setattr(evaluation, "SORT_ROWS", rows)
+    for seed in range(82, 86):
+        split, table = awkward_split(seed)
+        scorer = lambda user: table[user].copy()
+        users = evaluation._eval_users(split, on)
+        assert users.size > rows or rows == 1000
+        short = 0
+        for n in (1, 3, 10, 45):  # 45 is past the 40-item catalogue
+            results = list(evaluation.rank_users(scorer, split, on, n))
+            assert [result.user for result in results] == users.tolist()
+            for result in results:
+                excluded = [split.train.items_by_user[result.user]]
+                if on == "test":
+                    excluded.append(split.valid.items_by_user[result.user])
+                held = getattr(split, on).items_by_user[result.user]
+                expect = one_user_rank_items(scorer, result.user, np.concatenate(excluded), n)
+                np.testing.assert_array_equal(result.ranked, expect)
+                assert result.hit == bool(hr_at_n(expect, held))
+                assert result.ndcg == ndcg_at_n(expect, held, n)
+                short += expect.size < n
+        assert short  # some users have fewer than n candidates
+        with pytest.raises(ValueError):  # as ndcg_at_n, a user with nothing held out
+            list(evaluation.rank_users(scorer, split, on, 10, users=[0]))
+
+
 # ----------------------------------------------------------------- metrics
 
 
@@ -251,7 +332,7 @@ def test_itemknn_truncation_matches_a_dense_top_k_oracle():
 def test_itemknn_truncation_in_row_blocks_equals_one_block(monkeypatch, knn_k):
     split = split_per_user(random_dataset(37, n_users=30, n_items=40, min_items=5), seed=37)
     whole = baseline_scores("ITEMKNN", split, knn_k=knn_k)
-    monkeypatch.setattr(evaluation, "KNN_ROWS", 7)  # 40 rows in 6 blocks, the last one short
+    monkeypatch.setattr(evaluation, "SORT_ROWS", 7)  # 40 rows in 6 blocks, the last one short
     blocked = baseline_scores("ITEMKNN", split, knn_k=knn_k)
     for u in range(30):
         np.testing.assert_array_equal(blocked(u), whole(u))
@@ -397,7 +478,7 @@ def test_candidate_scores_equal_full_scores(cfg, on):
     full = model_scorer(params, cfg, split)
     only = model_scorer(params, cfg, split, on=on)
     for user in range(6):
-        excluded = np.unique(evaluation._excluded_for(split, on, user))
+        excluded = np.flatnonzero(evaluation._item_mask(split, evaluation.EXCLUDED[on], np.array([user]))[0])
         assert excluded.size > split.train.items_by_user[user].size or on == "valid"
         scores = only(user)
         assert scores.shape == (400,)
@@ -420,8 +501,7 @@ def test_a_scorer_with_a_split_scores_each_candidate_once(cfg, monkeypatch):
     for user in range(6):
         blocks.clear()
         scorer(user)
-        keep = np.ones(400, dtype=bool)
-        keep[evaluation._excluded_for(split, "test", user)] = False
+        keep = ~evaluation._item_mask(split, ("train", "valid"), np.array([user]))[0]
         np.testing.assert_array_equal(np.concatenate(blocks), np.flatnonzero(keep))
 
 
@@ -434,8 +514,7 @@ def test_a_group_scores_each_item_once(cfg, monkeypatch):
     monkeypatch.setattr(evaluation, "_score_chunk", lambda *args: blocks.append(args[3]) or original(*args))
     scorer = model_scorer(params, cfg, split, on="test", users=np.arange(6))
     for user in range(6):
-        keep = np.ones(400, dtype=bool)
-        keep[evaluation._excluded_for(split, "test", user)] = False
+        keep = ~evaluation._item_mask(split, ("train", "valid"), np.array([user]))[0]
         np.testing.assert_array_equal(np.isfinite(scorer(user)), keep)
     # one pass for the whole group: its blocks cover every item exactly once
     np.testing.assert_array_equal(np.concatenate(blocks), np.arange(400))
